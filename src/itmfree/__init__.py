@@ -13,12 +13,10 @@ from .errors import (
     DomainExit,
     InvalidParams,
     ItmFreeError,
-    MaxIterExceeded,
     NonPositiveTime,
     NotTabulated,
     OmegaNonPositive,
     SecantBreakdown,
-    SingularIntegration,
     SingularRhs,
 )
 from .itm import (

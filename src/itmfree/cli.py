@@ -6,6 +6,10 @@ tabulated parameter sets; ``profile`` and ``reconstruct`` emit CSV data for
 the similarity profile and for its physical-variable image at a given time;
 ``check-invariance`` prints scaling-group residuals.
 
+Every problem subcommand reads its flags, defaults and references from one
+``ProblemSpec`` in ``PROBLEMS``. Commands return their exit code and output
+text; ``main`` alone writes it, so a failed run leaves ``--out`` untouched.
+
 Exit codes: 0 success, 2 non-convergence, 3 invalid parameters,
 4 singular integration.
 """
@@ -13,33 +17,20 @@ Exit codes: 0 success, 2 non-convergence, 3 invalid parameters,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from typing import Any, Optional, Sequence, TextIO
+from typing import Any, Callable, Optional, Sequence
 
 from .errors import InvalidParams, ItmFreeError, SingularRhs
-from .itm import ItmConfig, ItmResult, ItmStatus, evaluate_gamma, secant_solve
-from .problems import (
-    SpreadingParams,
-    StefanParams,
-    make_spreading,
-    make_stefan,
-    stefan_default_guesses,
-    stefan_exponents,
-    spreading_exponents,
-    STEFAN_GUESSES,
-)
+from .itm import ItmConfig, ItmResult, ItmStatus, original_profile, secant_solve
+from .problems import (STEFAN_GUESSES, SpreadingParams, StefanParams, make_spreading,
+                       make_stefan, spreading_exponents, stefan_default_guesses,
+                       stefan_exponents)
 from .reference import asymptotic_eta_w, exact_spreading, neumann_eta_w
-from .similarity import (
-    OriginKind,
-    SimilarityExponents,
-    check_invariance,
-    gamma_from_alpha,
-    reconstruct_physical,
-)
-from .itm import original_profile
-from .ivp import steps_for_interval
+from .similarity import (OriginKind, SimilarityExponents, check_invariance,
+                         gamma_from_alpha, reconstruct_physical)
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
@@ -53,353 +44,240 @@ _STATUS_EXIT = {
     ItmStatus.SINGULAR_INTEGRATION: EXIT_SINGULAR,
 }
 
+Output = tuple[int, Optional[str]]  # exit code, text to emit (None on failure)
+
+
+@dataclasses.dataclass(frozen=True)
+class ProblemSpec:
+    """One bundled problem as the CLI sees it. The callables resolve library
+    functions as module globals at call time, so rebinding them on this
+    module (to trace or profile) reaches every call."""
+
+    help: str
+    params: dict[str, tuple[float, str]]     # flag name -> (default, help)
+    build: Callable[[dict[str, float]], tuple]
+    step: float
+    guesses: Callable[[dict[str, float]], tuple[float, float]]
+    outputs: tuple[tuple[str, str], ...]     # report key -> ItmResult attribute
+    references: Callable[[dict[str, float], ItmResult], dict[str, float]]
+    exponents: Callable[[], SimilarityExponents]
+    rows: tuple[dict[str, float], ...]       # tabulated runs as flag overrides
+    row: Callable[[dict[str, float], ItmConfig, ItmResult], dict[str, Any]]
+
+
+def _stefan_references(p: dict[str, float], result: ItmResult) -> dict[str, float]:
+    root = neumann_eta_w(p["S"])
+    refs = {"neumann_eta_w": root, "delta_neumann": result.s - root}
+    if p["S"] in STEFAN_GUESSES:
+        asym = asymptotic_eta_w(p["S"])
+        refs.update(asymptotic_eta_w=asym, delta_asymptotic=result.s - asym)
+    return refs
+
+
+def _stefan_row(p: dict[str, float], config: ItmConfig, r: ItmResult) -> dict[str, Any]:
+    asym = asymptotic_eta_w(p["S"])
+    return {"S": p["S"], "h_star": r.h_star, "dU0": r.dw0, "eta_w": r.s,
+            "eta_w_asymptotic": asym, "delta": r.s - asym}
+
+
+def _spread_references(p: dict[str, float], result: ItmResult) -> dict[str, float]:
+    if (p["H"], p["L"]) != (0.5, -0.5):
+        return {}
+    exact_u0 = exact_spreading(0.0).w
+    return {"exact_U0": exact_u0, "exact_eta_w": 1.0,
+            "delta_U0": result.w0 - exact_u0, "delta_eta_w": result.s - 1.0}
+
+
+PROBLEMS: dict[str, ProblemSpec] = {
+    "stefan": ProblemSpec(
+        help="solve the one-phase Stefan problem",
+        params={"S": (1.0, "inverse Stefan number")},
+        build=lambda p: make_stefan(StefanParams(**p)),
+        step=1e-3,
+        guesses=lambda p: stefan_default_guesses(p["S"]),
+        outputs=(("eta_w", "s"), ("dU0", "dw0")),
+        references=_stefan_references,
+        exponents=stefan_exponents,
+        rows=tuple({"S": S} for S in STEFAN_GUESSES),
+        row=_stefan_row,
+    ),
+    "spread": ProblemSpec(
+        help="solve the viscous spreading problem",
+        params={"H": (0.5, "fluid height at the front"), "L": (-0.5, "slope constant")},
+        build=lambda p: make_spreading(SpreadingParams(**p)),
+        step=5e-4,
+        guesses=lambda p: (0.5, 0.1),
+        outputs=(("eta_w", "s"), ("U0", "w0")),
+        references=_spread_references,
+        exponents=spreading_exponents,
+        rows=({"s_star": 0.5}, {"s_star": 1.0}),
+        row=lambda p, config, r: {
+            "s_star": config.s_star, "gamma0": r.trace[0].gamma_val,
+            "gamma1": r.trace[1].gamma_val, "h_star": r.h_star, "U0": r.w0,
+            "eta_w": r.s, "delta": r.s - 1.0},
+    ),
+}
+
 
 def _g9(x: float) -> str:
     """Machine-readable float: 9 significant digits."""
     return format(x, ".9g")
 
 
-def _f6(x: float) -> str:
-    return format(x, ".6f")
-
-
-def _result_dict(result: ItmResult, with_trace: bool) -> dict[str, Any]:
-    d: dict[str, Any] = {
-        "status": result.status.value,
-        "omega": result.omega,
-        "h_star": result.h_star,
-        "s": result.s,
-        "w0": result.w0,
-        "dw0": result.dw0,
-        "iterations": result.iterations,
-    }
-    if with_trace:
-        d["trace"] = [
-            {"j": it.j, "h_star": it.h_star, "gamma": it.gamma_val,
-             "omega": it.omega, "s_j": it.s_j}
-            for it in result.trace
-        ]
-    return d
-
-
-def _emit_report(report: dict[str, Any], fmt: str, out: TextIO) -> None:
-    if fmt == "json":
-        out.write(json.dumps(report, indent=2))
-        out.write("\n")
-        return
-    if fmt == "csv":
-        flat = _flatten(report)
-        out.write(",".join(flat.keys()) + "\n")
-        out.write(",".join(_csv_cell(v) for v in flat.values()) + "\n")
-        return
-    # human table
-    for key, value in report.items():
-        if key == "result" and isinstance(value, dict):
-            for k, v in value.items():
-                if k == "trace":
-                    continue
-                out.write(f"  {k:<12} {_human(v)}\n")
-            trace = value.get("trace")
-            if trace:
-                out.write("  trace:\n")
-                out.write(f"    {'j':>3} {'h_star':>15} {'gamma':>15} {'s_j':>12}\n")
-                for it in trace:
-                    out.write(f"    {it['j']:>3} {it['h_star']:>15.6f} "
-                              f"{it['gamma']:>15.6e} {it['s_j']:>12.6f}\n")
-        elif isinstance(value, dict):
-            out.write(f"{key}:\n")
-            for k, v in value.items():
-                out.write(f"  {k:<12} {_human(v)}\n")
-        else:
-            out.write(f"{key}: {_human(value)}\n")
-
-
 def _human(v: Any) -> str:
-    if isinstance(v, float):
-        return _f6(v)
-    return str(v)
+    return format(v, ".6f") if isinstance(v, float) else str(v)
 
 
 def _csv_cell(v: Any) -> str:
-    if isinstance(v, float):
-        return _g9(v)
-    return str(v)
+    return _g9(v) if isinstance(v, float) else str(v)
 
 
 def _flatten(d: dict[str, Any], prefix: str = "") -> dict[str, Any]:
     flat: dict[str, Any] = {}
     for k, v in d.items():
-        key = f"{prefix}{k}"
         if isinstance(v, dict):
-            flat.update(_flatten(v, key + "."))
-        elif isinstance(v, list):
-            continue  # traces are not flattened into single-row CSV
-        else:
-            flat[key] = v
+            flat.update(_flatten(v, f"{prefix}{k}."))
+        elif not isinstance(v, list):  # traces are not flattened into single-row CSV
+            flat[f"{prefix}{k}"] = v
     return flat
 
 
-def _open_out(path: Optional[str]):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--out", type=str, default=None)
-
-
-def _stefan_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--S", type=float, default=1.0, help="inverse Stefan number")
-
-
-def _spread_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--H", type=float, default=0.5)
-    p.add_argument("--L", type=float, default=-0.5)
-
-
-def _solve_flags(p: argparse.ArgumentParser) -> None:
-    # defaults resolve per problem: s* = 0.5; step 1e-3 (stefan) / 5e-4
-    # (spread); guesses from the tabulated runs (stefan) / (0.5, 0.1)
-    p.add_argument("--s-star", type=float, default=None, dest="s_star")
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--h0", type=float, default=None)
-    p.add_argument("--h1", type=float, default=None)
-
-
-def _solve_stefan(args: argparse.Namespace) -> tuple[ItmResult, ItmConfig]:
-    params = StefanParams(S=args.S)
-    problem, scaling = make_stefan(params)
-    h0, h1 = args.h0, args.h1
-    if h0 is None or h1 is None:
-        d0, d1 = stefan_default_guesses(args.S)
-        h0 = d0 if h0 is None else h0
-        h1 = d1 if h1 is None else h1
-    config = ItmConfig(s_star=args.s_star if args.s_star is not None else 0.5,
-                       step=args.step if args.step is not None else 1e-3,
-                       h0=h0, h1=h1, tol=args.tol, max_iter=args.max_iter)
-    return secant_solve(problem, scaling, config), config
-
-
-def _solve_spread(args: argparse.Namespace) -> tuple[ItmResult, ItmConfig]:
-    params = SpreadingParams(H=args.H, L=args.L)
-    problem, scaling = make_spreading(params)
-    config = ItmConfig(s_star=args.s_star if args.s_star is not None else 0.5,
-                       step=args.step if args.step is not None else 5e-4,
-                       h0=args.h0 if args.h0 is not None else 0.5,
-                       h1=args.h1 if args.h1 is not None else 0.1,
-                       tol=args.tol, max_iter=args.max_iter)
-    return secant_solve(problem, scaling, config), config
-
-
-def cmd_stefan(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    result, config = _solve_stefan(args)
-    elapsed = time.perf_counter() - t0
-
-    references: dict[str, Any] = {}
-    root = neumann_eta_w(args.S)
-    references["neumann_eta_w"] = root
-    references["delta_neumann"] = result.s - root
-    if args.S in STEFAN_GUESSES:
-        asym = asymptotic_eta_w(args.S)
-        references["asymptotic_eta_w"] = asym
-        references["delta_asymptotic"] = result.s - asym
-
-    report = {
-        "problem": "stefan",
-        "params": {"S": args.S},
-        "config": {"s_star": config.s_star, "step": config.step,
-                   "h0": config.h0, "h1": config.h1, "tol": config.tol,
-                   "max_iter": config.max_iter},
-        "result": {**_result_dict(result, args.trace),
-                   "eta_w": result.s, "dU0": result.dw0},
-        "references": references,
-        "wall_time_s": elapsed,
-    }
-    out, close = _open_out(args.out)
-    try:
-        _emit_report(report, args.format, out)
-    finally:
-        if close:
-            out.close()
-    return _STATUS_EXIT[result.status]
-
-
-def cmd_spread(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    result, config = _solve_spread(args)
-    elapsed = time.perf_counter() - t0
-
-    references: dict[str, Any] = {}
-    if (args.H, args.L) == (0.5, -0.5):
-        exact0 = exact_spreading(0.0)
-        references["exact_U0"] = exact0.w
-        references["exact_eta_w"] = 1.0
-        references["delta_U0"] = result.w0 - exact0.w
-        references["delta_eta_w"] = result.s - 1.0
-
-    report = {
-        "problem": "spread",
-        "params": {"H": args.H, "L": args.L},
-        "config": {"s_star": config.s_star, "step": config.step,
-                   "h0": config.h0, "h1": config.h1, "tol": config.tol,
-                   "max_iter": config.max_iter},
-        "result": {**_result_dict(result, args.trace),
-                   "eta_w": result.s, "U0": result.w0},
-        "references": references,
-        "wall_time_s": elapsed,
-    }
-    out, close = _open_out(args.out)
-    try:
-        _emit_report(report, args.format, out)
-    finally:
-        if close:
-            out.close()
-    return _STATUS_EXIT[result.status]
-
-
-def cmd_table(args: argparse.Namespace) -> int:
-    out, close = _open_out(args.out)
-    try:
-        if args.which == "stefan":
-            return _table_stefan(args, out)
-        return _table_spread(args, out)
-    finally:
-        if close:
-            out.close()
-
-
-def _table_stefan(args: argparse.Namespace, out: TextIO) -> int:
-    rows = []
-    for S, (h0, h1) in STEFAN_GUESSES.items():
-        problem, scaling = make_stefan(StefanParams(S=S))
-        config = ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1,
-                           tol=args.tol, max_iter=args.max_iter)
-        result = secant_solve(problem, scaling, config)
-        if not result.converged:
-            return EXIT_NO_CONVERGENCE
-        asym = asymptotic_eta_w(S)
-        rows.append({"S": S, "h_star": result.h_star, "dU0": result.dw0,
-                     "eta_w": result.s, "eta_w_asymptotic": asym,
-                     "delta": result.s - asym})
-    _emit_rows(rows, args.format, out)
-    return EXIT_OK
-
-
-def _table_spread(args: argparse.Namespace, out: TextIO) -> int:
-    rows = []
-    problem, scaling = make_spreading(SpreadingParams(H=0.5, L=-0.5))
-    for s_star in (0.5, 1.0):
-        config = ItmConfig(s_star=s_star, step=5e-4, h0=0.5, h1=0.1,
-                           tol=args.tol, max_iter=args.max_iter)
-        result = secant_solve(problem, scaling, config)
-        if not result.converged:
-            return EXIT_NO_CONVERGENCE
-        rows.append({"s_star": s_star,
-                     "gamma0": result.trace[0].gamma_val,
-                     "gamma1": result.trace[1].gamma_val,
-                     "h_star": result.h_star, "U0": result.w0,
-                     "eta_w": result.s, "delta": result.s - 1.0})
-    _emit_rows(rows, args.format, out)
-    return EXIT_OK
-
-
-def _emit_rows(rows: list[dict[str, Any]], fmt: str, out: TextIO) -> None:
+def _emit_report(report: dict[str, Any], fmt: str) -> str:
     if fmt == "json":
-        out.write(json.dumps(rows, indent=2))
-        out.write("\n")
-        return
-    keys = list(rows[0].keys())
+        return json.dumps(report, indent=2) + "\n"
     if fmt == "csv":
-        out.write(",".join(keys) + "\n")
-        for row in rows:
-            out.write(",".join(_csv_cell(row[k]) for k in keys) + "\n")
-        return
-    widths = {k: max(len(k), 12) for k in keys}
-    out.write(" ".join(f"{k:>{widths[k]}}" for k in keys) + "\n")
-    for row in rows:
-        out.write(" ".join(
-            f"{_human(row[k]):>{widths[k]}}" for k in keys) + "\n")
-
-
-def _profile_for(args: argparse.Namespace):
-    if args.problem == "stefan":
-        result, config = _solve_stefan(args)
-        problem, _ = make_stefan(StefanParams(S=args.S))
-        exps = stefan_exponents()
-    else:
-        result, config = _solve_spread(args)
-        problem, _ = make_spreading(SpreadingParams(H=args.H, L=args.L))
-        exps = spreading_exponents()
-    if not result.converged:
-        return None, None, None
-    profile = original_profile(problem, result.s, args.points)
-    return result, profile, exps
-
-
-def cmd_profile(args: argparse.Namespace) -> int:
-    result, profile, _exps = _profile_for(args)
-    if result is None:
-        return EXIT_NO_CONVERGENCE
-    out, close = _open_out(args.out)
-    try:
-        out.write("eta,U,dU\n")
-        for i in range(len(profile)):
-            out.write(f"{_g9(profile.eta[i])},{_g9(profile.u[i])},{_g9(profile.du[i])}\n")
-    finally:
-        if close:
-            out.close()
-    return EXIT_OK
-
-
-def cmd_reconstruct(args: argparse.Namespace) -> int:
-    if args.t <= 0.0:
-        print("error: t must be positive", file=sys.stderr)
-        return EXIT_INVALID_PARAMS
-    result, profile, exps = _profile_for(args)
-    if result is None:
-        return EXIT_NO_CONVERGENCE
-    phys = reconstruct_physical(profile, exps, result.s, args.t)
-    out, close = _open_out(args.out)
-    try:
-        out.write(f"# t={_g9(args.t)} x_w={_g9(phys.x_w)}\n")
-        out.write("x,u,du_dx\n")
-        for i in range(len(phys.x)):
-            out.write(f"{_g9(phys.x[i])},{_g9(phys.u[i])},{_g9(phys.du_dx[i])}\n")
-    finally:
-        if close:
-            out.close()
-    return EXIT_OK
-
-
-def cmd_check_invariance(args: argparse.Namespace) -> int:
-    kind = OriginKind.NEUMANN if args.origin == "neumann" else OriginKind.DIRICHLET
-    gamma = args.gamma if args.gamma is not None else gamma_from_alpha(args.n, args.alpha)
-    exps = SimilarityExponents(n=args.n, alpha=args.alpha, gamma=gamma,
-                               coefficient=args.coefficient, origin_kind=kind,
-                               beta=args.beta)
-    residuals = check_invariance(exps)
-    report = {
-        "n": args.n, "alpha": args.alpha, "beta": args.beta, "gamma": gamma,
-        "pde_residual": residuals[0], "origin_residual": residuals[1],
-        "invariant": all(abs(r) < 1e-12 for r in residuals),
-    }
-    out, close = _open_out(args.out)
-    try:
-        if args.format == "json":
-            out.write(json.dumps(report, indent=2) + "\n")
+        flat = _flatten(report)
+        return ",".join(flat) + "\n" + ",".join(_csv_cell(v) for v in flat.values()) + "\n"
+    lines = []
+    for key, value in report.items():
+        if key == "result" and isinstance(value, dict):
+            lines += [f"  {k:<12} {_human(v)}" for k, v in value.items() if k != "trace"]
+            if value.get("trace"):
+                lines += ["  trace:", f"    {'j':>3} {'h_star':>15} {'gamma':>15} {'s_j':>12}"]
+                lines += [f"    {it['j']:>3} {it['h_star']:>15.6f} "
+                          f"{it['gamma']:>15.6e} {it['s_j']:>12.6f}" for it in value["trace"]]
+        elif isinstance(value, dict):
+            lines.append(f"{key}:")
+            lines += [f"  {k:<12} {_human(v)}" for k, v in value.items()]
         else:
-            for k, v in report.items():
-                out.write(f"{k}: {v}\n")
-    finally:
-        if close:
-            out.close()
-    return EXIT_OK
+            lines.append(f"{key}: {_human(value)}")
+    return "".join(line + "\n" for line in lines)
+
+
+def _emit_rows(rows: list[dict[str, Any]], fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    keys = list(rows[0])
+    if fmt == "csv":
+        lines = [",".join(keys)] + [",".join(_csv_cell(row[k]) for k in keys) for row in rows]
+    else:
+        widths = {k: max(len(k), 12) for k in keys}
+        lines = [" ".join(f"{k:>{widths[k]}}" for k in keys)] + [
+            " ".join(f"{_human(row[k]):>{widths[k]}}" for k in keys) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def _emit_columns(header: str, columns: Sequence[Sequence[float]]) -> str:
+    return header + "".join(",".join(_g9(v) for v in row) + "\n" for row in zip(*columns))
+
+
+def _solve(spec: ProblemSpec, opts: dict[str, Any]):
+    """Build the problem from ``opts`` (parsed flags plus overrides) and solve it;
+    flags that are absent or None take the spec's defaults."""
+    def opt(key: str, default: Any) -> Any:
+        value = opts.get(key)
+        return default if value is None else value
+
+    params = {k: opt(k, default) for k, (default, _) in spec.params.items()}
+    problem, scaling = spec.build(params)
+    h0, h1 = opts.get("h0"), opts.get("h1")
+    if h0 is None or h1 is None:
+        d0, d1 = spec.guesses(params)
+        h0, h1 = opt("h0", d0), opt("h1", d1)
+    config = ItmConfig(s_star=opt("s_star", 0.5), step=opt("step", spec.step),
+                       h0=h0, h1=h1, tol=opts["tol"], max_iter=opts["max_iter"])
+    return problem, params, config, secant_solve(problem, scaling, config)
+
+
+def _failed(result: ItmResult, what: str) -> Output:
+    print(f"error: {what} did not converge: {result.status.value}", file=sys.stderr)
+    return _STATUS_EXIT[result.status], None
+
+
+def cmd_solve(args: argparse.Namespace) -> Output:
+    spec = PROBLEMS[args.command]
+    t0 = time.perf_counter()
+    _, params, config, result = _solve(spec, vars(args))
+    elapsed = time.perf_counter() - t0
+    fields = {"status": result.status.value, **{
+        k: getattr(result, k) for k in ("omega", "h_star", "s", "w0", "dw0", "iterations")}}
+    if args.trace:
+        fields["trace"] = [{"j": it.j, "h_star": it.h_star, "gamma": it.gamma_val,
+                            "omega": it.omega, "s_j": it.s_j} for it in result.trace]
+    fields.update((key, getattr(result, attr)) for key, attr in spec.outputs)
+    report = {"problem": args.command, "params": params, "config": dataclasses.asdict(config),
+              "result": fields, "references": spec.references(params, result),
+              "wall_time_s": elapsed}
+    return _STATUS_EXIT[result.status], _emit_report(report, args.format)
+
+
+def cmd_table(args: argparse.Namespace) -> Output:
+    spec = PROBLEMS[args.which]
+    rows = []
+    for override in spec.rows:
+        _, params, config, result = _solve(spec, {**vars(args), **override})
+        if not result.converged:
+            return _failed(result, "row " + ",".join(f"{k}={v}" for k, v in override.items()))
+        rows.append(spec.row(params, config, result))
+    return EXIT_OK, _emit_rows(rows, args.format)
+
+
+def cmd_profile(args: argparse.Namespace) -> Output:
+    """``profile`` and ``reconstruct``: the converged profile, in similarity or
+    physical variables."""
+    if args.command == "reconstruct" and args.t <= 0.0:
+        print("error: t must be positive", file=sys.stderr)
+        return EXIT_INVALID_PARAMS, None
+    spec = PROBLEMS[args.problem]
+    problem, _, _, result = _solve(spec, vars(args))
+    if not result.converged:
+        return _failed(result, "solve")
+    prof = original_profile(problem, result.s, args.points)
+    if args.command == "profile":
+        return EXIT_OK, _emit_columns("eta,U,dU\n", (prof.eta, prof.u, prof.du))
+    phys = reconstruct_physical(prof, spec.exponents(), result.s, args.t)
+    return EXIT_OK, _emit_columns(f"# t={_g9(args.t)} x_w={_g9(phys.x_w)}\nx,u,du_dx\n",
+                                  (phys.x, phys.u, phys.du_dx))
+
+
+def cmd_check_invariance(args: argparse.Namespace) -> Output:
+    gamma = args.gamma if args.gamma is not None else gamma_from_alpha(args.n, args.alpha)
+    residuals = check_invariance(SimilarityExponents(
+        n=args.n, alpha=args.alpha, gamma=gamma, coefficient=args.coefficient,
+        origin_kind=OriginKind(args.origin), beta=args.beta))
+    report = {"n": args.n, "alpha": args.alpha, "beta": args.beta, "gamma": gamma,
+              "pde_residual": residuals[0], "origin_residual": residuals[1],
+              "invariant": all(abs(r) < 1e-12 for r in residuals)}
+    if args.format == "table":
+        return EXIT_OK, "".join(f"{k}: {v}\n" for k, v in report.items())
+    return EXIT_OK, _emit_report(report, args.format)
+
+
+_FLAGS: dict[str, dict[str, Any]] = {
+    "--format": dict(choices=["table", "csv", "json"], default="table"),
+    "--tol": dict(type=float, default=1e-6),
+    "--max-iter": dict(type=int, default=50),
+    "--trace": dict(action="store_true"),
+    "--out": dict(type=str, default=None),
+    # solver flags; None resolves to the problem's default
+    "--s-star": dict(type=float, default=None),
+    "--step": dict(type=float, default=None),
+    "--h0": dict(type=float, default=None),
+    "--h1": dict(type=float, default=None),
+    "--problem": dict(choices=list(PROBLEMS), default="stefan"),
+    "--points": dict(type=int, default=100),
+}
+_SOLVE_FLAGS = ("--out", "--tol", "--max-iter", "--s-star", "--step", "--h0", "--h1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,69 +286,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="Free boundary ODE problems via the iterative transformation method.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stefan", help="solve the one-phase Stefan problem")
-    _common_flags(p)
-    _stefan_flags(p)
-    _solve_flags(p)
-    p.set_defaults(func=cmd_stefan)
+    def add(name: str, help_: str, func: Callable, *flags: str, specs=()):
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(func=func)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        for spec in specs:
+            for flag, (default, flag_help) in spec.params.items():
+                p.add_argument(f"--{flag}", type=float, default=default, help=flag_help)
+        return p
 
-    p = sub.add_parser("spread", help="solve the viscous spreading problem")
-    _common_flags(p)
-    _spread_flags(p)
-    _solve_flags(p)
-    p.set_defaults(func=cmd_spread)
-
-    p = sub.add_parser("table", help="rerun the tabulated parameter sets")
-    _common_flags(p)
-    p.add_argument("which", choices=["stefan", "spread"])
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("profile", help="emit the similarity profile as CSV")
-    _common_flags(p)
-    p.add_argument("--problem", choices=["stefan", "spread"], default="stefan")
-    p.add_argument("--points", type=int, default=100)
-    _stefan_flags(p)
-    _spread_flags(p)
-    _solve_flags(p)
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("reconstruct", help="emit the physical profile at time t as CSV")
-    _common_flags(p)
-    p.add_argument("--problem", choices=["stefan", "spread"], default="stefan")
-    p.add_argument("--points", type=int, default=100)
+    for name, spec in PROBLEMS.items():
+        add(name, spec.help, cmd_solve, "--format", "--trace", *_SOLVE_FLAGS, specs=[spec])
+    p = add("table", "rerun the tabulated parameter sets", cmd_table,
+            "--format", "--out", "--tol", "--max-iter")
+    p.add_argument("which", choices=list(PROBLEMS))
+    add("profile", "emit the similarity profile as CSV", cmd_profile,
+        "--problem", "--points", *_SOLVE_FLAGS, specs=PROBLEMS.values())
+    p = add("reconstruct", "emit the physical profile at time t as CSV", cmd_profile,
+            "--problem", "--points", *_SOLVE_FLAGS, specs=PROBLEMS.values())
     p.add_argument("--t", type=float, required=True)
-    _stefan_flags(p)
-    _spread_flags(p)
-    _solve_flags(p)
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("check-invariance", help="scaling-group residuals")
-    _common_flags(p)
+    p = add("check-invariance", "scaling-group residuals", cmd_check_invariance,
+            "--format", "--out")
     p.add_argument("--n", type=float, required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--coefficient", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--origin", choices=["dirichlet", "neumann"], default="dirichlet")
-    p.set_defaults(func=cmd_check_invariance)
-
+    p.add_argument("--origin", choices=[k.value for k in OriginKind], default="dirichlet")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except InvalidParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PARAMS
-    except SingularRhs as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+        code, text = args.func(args)
     except ItmFreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return (EXIT_INVALID_PARAMS if isinstance(exc, InvalidParams)
+                else EXIT_SINGULAR if isinstance(exc, SingularRhs) else EXIT_NO_CONVERGENCE)
+    if text is not None:
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as out:
+                out.write(text)
+    return code
 
 
 if __name__ == "__main__":

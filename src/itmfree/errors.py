@@ -36,11 +36,6 @@ class SingularRhs(ItmFreeError):
         super().__init__(message or f"singular right-hand side near z = {abscissa!r}")
 
 
-# The iteration enters a singularity of the extended problem; same failure
-# mode as SingularRhs, re-exported under the solver-level name.
-SingularIntegration = SingularRhs
-
-
 class OmegaNonPositive(ItmFreeError):
     """The recovered group parameter is not strictly positive."""
 
@@ -51,7 +46,3 @@ class SecantBreakdown(ItmFreeError):
 
 class DomainExit(ItmFreeError):
     """Secant iterates repeatedly left the admissible parameter interval."""
-
-
-class MaxIterExceeded(ItmFreeError):
-    """The secant iteration cap was reached without convergence."""

@@ -72,22 +72,19 @@ def gamma_from_alpha(n: float, alpha: float) -> float:
     return 2.0 / denom
 
 
-def alpha_from_beta(n: float, beta: float, rederived: bool = False) -> float:
+def alpha_from_beta(n: float, beta: float) -> float:
     """Dirichlet exponent implied by a Neumann exponent beta.
 
-    The default evaluates (beta + 1) / (2 - n - n*beta). With
-    ``rederived=True`` the alternative balance (2*beta + 1) / (2 - n) is used
-    instead; the two disagree for n != 0 and both are kept available.
+    Solving the origin balance alpha*gamma - 1 = gamma*beta together with
+    gamma = 2 / (n alpha + 1) gives alpha = (2 beta + 1) / (2 - n). The
+    formula printed in the source paper, (beta + 1) / (2 - n - n beta),
+    disagrees with that balance: for n = 0, beta = -1/2 it gives 0.25 where
+    the balance requires 0.
     """
-    if rederived:
-        denom = 2.0 - n
-    else:
-        denom = 2.0 - n - n * beta
+    denom = 2.0 - n
     if denom == 0.0:
         raise DegenerateExponent(f"degenerate denominator for n={n}, beta={beta}")
-    if rederived:
-        return (2.0 * beta + 1.0) / denom
-    return (beta + 1.0) / denom
+    return (2.0 * beta + 1.0) / denom
 
 
 def check_invariance(exps: SimilarityExponents) -> list[float]:

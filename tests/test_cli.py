@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -164,3 +165,68 @@ def test_custom_tol_reaches_tighter_stop(capsys):
     assert code == 0
     trace = json.loads(out)["result"]["trace"]
     assert abs(trace[-1]["gamma"]) <= 1e-9
+
+
+NON_CONVERGING = [
+    (["table", "stefan", "--max-iter", "2"], "row S=0.1"),
+    (["profile", "--max-iter", "2"], "solve"),
+    (["reconstruct", "--t", "4", "--max-iter", "2"], "solve"),
+]
+
+
+@pytest.mark.parametrize("argv, what", NON_CONVERGING)
+def test_non_convergence_names_status_on_stderr(capsys, argv, what):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {what} did not converge: max_iter_exceeded\n"
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in NON_CONVERGING] + [["stefan", "--S", "-1"]])
+def test_failed_run_leaves_out_file_untouched(tmp_path, capsys, argv):
+    kept, missing = tmp_path / "kept.csv", tmp_path / "missing.csv"
+    kept.write_bytes(b"earlier output\n")
+    assert main(argv + ["--out", str(kept)]) != 0
+    assert main(argv + ["--out", str(missing)]) != 0
+    capsys.readouterr()
+    assert kept.read_bytes() == b"earlier output\n"
+    assert not missing.exists()
+
+
+def test_check_invariance_csv(capsys):
+    code, out, _ = run(capsys, ["check-invariance", "--n", "0", "--alpha", "0", "--format", "csv"])
+    assert code == 0
+    assert out == ("n,alpha,beta,gamma,pde_residual,origin_residual,invariant\n"
+                   "0,0,None,2,0,0,True\n")
+
+
+def _mask_wall_time(text):
+    return re.sub(r"(wall_time_s\"?: )\S+", r"\1X", text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stefan"],
+    ["table", "spread"],
+    ["profile", "--points", "10"],
+    ["reconstruct", "--t", "4", "--points", "10"],
+    ["check-invariance", "--n", "0", "--alpha", "0"],
+])
+def test_out_writes_the_stdout_bytes(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, argv)
+    path = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(path)]) == code == 0
+    assert capsys.readouterr().out == ""
+    assert _mask_wall_time(path.read_text()) == _mask_wall_time(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "stefan", "--trace"],
+    ["profile", "--format", "csv"],
+    ["reconstruct", "--t", "1", "--trace"],
+    ["check-invariance", "--n", "0", "--alpha", "0", "--max-iter", "3"],
+])
+def test_unread_flags_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

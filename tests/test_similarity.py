@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from itmfree.errors import DegenerateExponent, NonPositiveTime
 from itmfree.ivp import SolutionProfile
@@ -33,26 +33,27 @@ def test_gamma_from_alpha_degenerate():
         gamma_from_alpha(2.0, -0.5)
 
 
-@pytest.mark.parametrize("n, beta, expected", [
-    (0.0, -0.5, 0.25),
-    (3.0, -0.2, -2.0),
-    (1.0, 0.0, 1.0),
-])
-def test_alpha_from_beta_printed_formula(n, beta, expected):
-    assert alpha_from_beta(n, beta) == pytest.approx(expected, rel=1e-15)
-
-
-def test_alpha_from_beta_rederived_flag():
-    # the alternative balance (2 beta + 1)/(2 - n) disagrees for n != 0
-    assert alpha_from_beta(3.0, -0.2, rederived=True) == pytest.approx(0.6 / -1.0)
-    assert alpha_from_beta(0.0, -0.5, rederived=True) == pytest.approx(0.0)
+@example(n=0.0, beta=-0.5)  # the paper's printed formula gives 0.25 here, the balance 0
+@example(n=3.0, beta=-0.2)
+@given(st.floats(min_value=-2.0, max_value=1.5),
+       st.floats(min_value=-2.0, max_value=2.0))
+def test_alpha_from_beta_zeroes_origin_residual(n, beta):
+    # with B != 0 the Neumann origin balance must hold for the returned alpha
+    alpha = alpha_from_beta(n, beta)
+    if abs(n * alpha + 1.0) < 1e-3:
+        return
+    gamma = gamma_from_alpha(n, alpha)
+    exps = SimilarityExponents(n=n, alpha=alpha, gamma=gamma, coefficient=1.0,
+                               origin_kind=OriginKind.NEUMANN, beta=beta)
+    pde, origin = check_invariance(exps)
+    scale = 1.0 + abs(gamma) * (abs(alpha) + abs(beta))
+    assert abs(pde) <= 1e-12 * scale
+    assert abs(origin) <= 1e-12 * scale
 
 
 def test_alpha_from_beta_degenerate():
     with pytest.raises(DegenerateExponent):
-        alpha_from_beta(1.0, 1.0)  # 2 - n - n*beta = 0
-    with pytest.raises(DegenerateExponent):
-        alpha_from_beta(2.0, 0.0, rederived=True)
+        alpha_from_beta(2.0, 0.0)  # 2 - n = 0
 
 
 def test_check_invariance_stefan():
