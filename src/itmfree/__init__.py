@@ -10,13 +10,11 @@ integration per secant iteration on the transformation function.
 from .errors import (
     DegenerateExponent,
     DomainError,
-    DomainExit,
     InvalidParams,
     ItmFreeError,
     NonPositiveTime,
     NotTabulated,
     OmegaNonPositive,
-    SecantBreakdown,
     SingularRhs,
 )
 from .itm import (

@@ -11,7 +11,7 @@ Every problem subcommand reads its flags, defaults and references from one
 text; ``main`` alone writes it, so a failed run leaves ``--out`` untouched.
 
 Exit codes: 0 success, 2 non-convergence, 3 invalid parameters,
-4 singular integration.
+4 singular integration; a solve that does not converge also says why on stderr.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ _STATUS_EXIT = {
     ItmStatus.MAX_ITER_EXCEEDED: EXIT_NO_CONVERGENCE,
     ItmStatus.OMEGA_NON_POSITIVE: EXIT_NO_CONVERGENCE,
     ItmStatus.SINGULAR_INTEGRATION: EXIT_SINGULAR,
+    ItmStatus.SECANT_BREAKDOWN: EXIT_NO_CONVERGENCE,
 }
 
 Output = tuple[int, Optional[str]]  # exit code, text to emit (None on failure)
@@ -199,9 +200,11 @@ def _solve(spec: ProblemSpec, opts: dict[str, Any]):
     return problem, params, config, secant_solve(problem, scaling, config)
 
 
-def _failed(result: ItmResult, what: str) -> Output:
-    print(f"error: {what} did not converge: {result.status.value}", file=sys.stderr)
-    return _STATUS_EXIT[result.status], None
+def _failed(result: ItmResult, what: str) -> int:
+    """Print the stderr line of a solve that did not converge; returns its exit code."""
+    detail = f": {result.message}" if result.message else ""
+    print(f"error: {what} did not converge: {result.status.value}{detail}", file=sys.stderr)
+    return _STATUS_EXIT[result.status]
 
 
 def cmd_solve(args: argparse.Namespace) -> Output:
@@ -209,8 +212,8 @@ def cmd_solve(args: argparse.Namespace) -> Output:
     t0 = time.perf_counter()
     _, params, config, result = _solve(spec, vars(args))
     elapsed = time.perf_counter() - t0
-    fields = {"status": result.status.value, **{
-        k: getattr(result, k) for k in ("omega", "h_star", "s", "w0", "dw0", "iterations")}}
+    fields = {"status": result.status.value, **{k: getattr(result, k) for k in (
+        "omega", "h_star", "s", "w0", "dw0", "iterations", "message", "abscissa")}}
     if args.trace:
         fields["trace"] = [{"j": it.j, "h_star": it.h_star, "gamma": it.gamma_val,
                             "omega": it.omega, "s_j": it.s_j} for it in result.trace]
@@ -218,7 +221,8 @@ def cmd_solve(args: argparse.Namespace) -> Output:
     report = {"problem": args.command, "params": params, "config": dataclasses.asdict(config),
               "result": fields, "references": spec.references(params, result),
               "wall_time_s": elapsed}
-    return _STATUS_EXIT[result.status], _emit_report(report, args.format)
+    code = _failed(result, "solve") if not result.converged else EXIT_OK
+    return code, _emit_report(report, args.format)
 
 
 def cmd_table(args: argparse.Namespace) -> Output:
@@ -227,7 +231,7 @@ def cmd_table(args: argparse.Namespace) -> Output:
     for override in spec.rows:
         _, params, config, result = _solve(spec, {**vars(args), **override})
         if not result.converged:
-            return _failed(result, "row " + ",".join(f"{k}={v}" for k, v in override.items()))
+            return _failed(result, "row " + ",".join(f"{k}={v}" for k, v in override.items())), None
         rows.append(spec.row(params, config, result))
     return EXIT_OK, _emit_rows(rows, args.format)
 
@@ -235,13 +239,14 @@ def cmd_table(args: argparse.Namespace) -> Output:
 def cmd_profile(args: argparse.Namespace) -> Output:
     """``profile`` and ``reconstruct``: the converged profile, in similarity or
     physical variables."""
-    if args.command == "reconstruct" and args.t <= 0.0:
-        print("error: t must be positive", file=sys.stderr)
-        return EXIT_INVALID_PARAMS, None
+    if args.points < 1:
+        raise InvalidParams(f"points must be at least 1, got {args.points}")
+    if args.command == "reconstruct" and not args.t > 0.0:
+        raise InvalidParams(f"t must be positive, got {args.t}")
     spec = PROBLEMS[args.problem]
     problem, _, _, result = _solve(spec, vars(args))
     if not result.converged:
-        return _failed(result, "solve")
+        return _failed(result, "solve"), None
     prof = original_profile(problem, result.s, args.points)
     if args.command == "profile":
         return EXIT_OK, _emit_columns("eta,U,dU\n", (prof.eta, prof.u, prof.du))
@@ -322,6 +327,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code, text = args.func(args)
     except ItmFreeError as exc:
+        # raised outside secant_solve: invalid parameters, or a singular profile
         print(f"error: {exc}", file=sys.stderr)
         return (EXIT_INVALID_PARAMS if isinstance(exc, InvalidParams)
                 else EXIT_SINGULAR if isinstance(exc, SingularRhs) else EXIT_NO_CONVERGENCE)

@@ -40,9 +40,8 @@ class OmegaNonPositive(ItmFreeError):
     """The recovered group parameter is not strictly positive."""
 
 
-class SecantBreakdown(ItmFreeError):
-    """Two consecutive secant residuals coincide away from a root."""
-
-
 class DomainExit(ItmFreeError):
-    """Secant iterates repeatedly left the admissible parameter interval."""
+    """Secant iterates repeatedly left the admissible parameter interval.
+
+    Never raised: the secant steps in log h*, which keeps h* positive. Kept
+    because the benchmark's smoke test imports it."""

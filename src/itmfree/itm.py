@@ -13,25 +13,21 @@ s* yields the group parameter omega and hence the transformation function
     Gamma(h*) = omega^(-sigma) h* - 1 ,
 
 whose root corresponds to h = 1, i.e. to the original problem. The secant
-method drives Gamma to zero; the physical values follow from the scaling
-relations s = omega^(-delta) s*, w(0) = omega^(-1) w*(0),
-w'(0) = omega^(delta-1) w*'(0).
+method drives Gamma to zero, stepping in log h* because the group acts on h*
+multiplicatively; the physical values follow from the scaling relations
+s = omega^(-delta) s*, w(0) = omega^(-1) w*(0), w'(0) = omega^(delta-1) w*'(0).
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import (
-    DomainExit,
-    OmegaNonPositive,
-    SecantBreakdown,
-    SingularRhs,
-)
-from .ivp import IntegrationResult, SolutionProfile, State2, integrate_inward, steps_for_interval
+from .errors import InvalidParams, OmegaNonPositive, SingularRhs
+from .ivp import SolutionProfile, State2, integrate_inward, steps_for_interval
 
 __all__ = [
     "ReducedFreeBvp",
@@ -71,7 +67,6 @@ class ReducedFreeBvp:
     extended_rhs: Callable[[float, float, State2], float]
     extended_boundary_value: Callable[[float, float], float]
     extended_boundary_slope: Callable[[float, float], float]
-    h_star_domain: tuple[float, float] = (0.0, math.inf)
     to_original: Callable[[float, State2], State2] = _identity_output
 
 
@@ -93,21 +88,19 @@ class ItmConfig:
     tol: float = 1e-6
     max_iter: int = 50
 
-    def validate(self, h_star_domain: tuple[float, float] = (0.0, math.inf)) -> None:
-        from .errors import InvalidParams
-
-        lo, hi = h_star_domain
-        if self.s_star <= 0.0:
+    def validate(self) -> None:
+        if not self.s_star > 0.0:
             raise InvalidParams("s_star must be positive")
-        if self.step <= 0.0:
-            raise InvalidParams("step must be positive")
-        if self.tol <= 0.0:
+        if not 0.0 < self.step <= self.s_star:
+            # a longer step would silently become one step of length s_star
+            raise InvalidParams(f"step must lie in (0, s_star = {self.s_star}], got {self.step}")
+        if not self.tol > 0.0:  # a nan tol could never be met
             raise InvalidParams("tol must be positive")
         if self.h0 == self.h1:
             raise InvalidParams("initial guesses h0 and h1 must differ")
         for h in (self.h0, self.h1):
-            if not lo < h < hi:
-                raise InvalidParams(f"initial guess {h} outside h* domain ({lo}, {hi})")
+            if not 0.0 < h < math.inf:
+                raise InvalidParams(f"initial guess {h} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -124,10 +117,13 @@ class ItmStatus(enum.Enum):
     MAX_ITER_EXCEEDED = "max_iter_exceeded"
     SINGULAR_INTEGRATION = "singular_integration"
     OMEGA_NON_POSITIVE = "omega_non_positive"
+    SECANT_BREAKDOWN = "secant_breakdown"
 
 
 @dataclass(frozen=True)
 class ItmResult:
+    """Outcome of ``secant_solve``; ``message`` and ``abscissa`` describe a failure."""
+
     status: ItmStatus
     omega: float
     h_star: float
@@ -135,7 +131,8 @@ class ItmResult:
     w0: float
     dw0: float
     trace: list[ItmIteration] = field(default_factory=list)
-    profile: Optional[SolutionProfile] = None
+    message: str = ""
+    abscissa: float = math.nan
 
     @property
     def converged(self) -> bool:
@@ -175,7 +172,8 @@ def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     """One inward integration of the extended problem; returns (Gamma, omega, endpoint).
 
     Raises SingularRhs if the integration hits a singularity and
-    OmegaNonPositive if the recovered group parameter is not positive.
+    OmegaNonPositive if the recovered group parameter is not positive or not
+    finite. Gamma is +inf when 1 + Gamma exceeds the float range.
     """
     s_star = config.s_star
     y_start = State2(
@@ -191,7 +189,10 @@ def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     omega = scaling.omega_rule(h_star, res.endpoint)
     if not (omega > 0.0) or not math.isfinite(omega):
         raise OmegaNonPositive(f"omega = {omega} at h* = {h_star}")
-    gamma_val = omega ** (-scaling.sigma) * h_star - 1.0
+    try:
+        gamma_val = omega ** (-scaling.sigma) * h_star - 1.0
+    except OverflowError:  # the secant's residual log h* - sigma log omega is still finite
+        gamma_val = math.inf
     return gamma_val, omega, res.endpoint
 
 
@@ -231,92 +232,85 @@ def original_profile(problem: ReducedFreeBvp, s: float, n_steps: int) -> Solutio
     return out
 
 
-def _clamp_to_domain(h_new: float, h_prev: float,
-                     domain: tuple[float, float]) -> float:
-    """Pull an out-of-domain iterate to the midpoint between the violated
-    boundary and the last in-domain iterate."""
-    lo, hi = domain
-    if h_new <= lo:
-        return 0.5 * (lo + h_prev)
-    if h_new >= hi:
-        return 0.5 * (hi + h_prev)
-    return h_new
+_MAX_LOG_H = math.log(sys.float_info.max)  # exp(x) is finite and positive for |x| up to this
 
 
 def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
-                 config: ItmConfig, record_profile: bool = False,
-                 profile_steps: Optional[int] = None) -> ItmResult:
-    """Drive Gamma(h*) to zero with the secant method.
+                 config: ItmConfig) -> ItmResult:
+    """Drive Gamma(h*) to zero with the secant method in x = log h*.
+
+    The group acts on h* multiplicatively and 1 + Gamma = h*/omega^sigma, so
+    the residual F = log h* - sigma log omega = log(1 + Gamma) is nearly
+    linear in x, and h* = exp(x) stays positive. F is formed from the two
+    logarithms, not as log1p(Gamma), which fails when 1 + Gamma underflows.
 
     Convergence requires both |Gamma(h*_j)| <= tol and |s_j - s_{j-1}| <= tol;
     the two-clause test is first applied at j >= 1 (the s-difference needs two
     iterates), except that a root handed in as h0 is accepted immediately
-    after the burn-in pair. On convergence the free boundary and origin
-    values are recovered from the scaling relations; optionally the original
-    problem is re-integrated from the recovered boundary to record a profile
-    in un-shifted variables.
-    """
-    config.validate(problem.h_star_domain)
-    tol = config.tol
+    after the burn-in pair. The free boundary and origin values are recovered
+    from the scaling relations.
 
-    def make_result(status: ItmStatus, h_star: float, omega: float,
-                    endpoint: Optional[State2], trace: list[ItmIteration]) -> ItmResult:
-        if endpoint is not None and omega > 0.0:
-            s, w0, dw0 = recover_values(omega, scaling, endpoint, config.s_star)
-        else:
-            s = w0 = dw0 = math.nan
-        profile = None
-        if status is ItmStatus.CONVERGED and record_profile:
-            n = profile_steps or steps_for_interval(s, 0.0, config.step)
-            profile = original_profile(problem, s, n)
-        return ItmResult(status=status, omega=omega, h_star=h_star, s=s,
-                         w0=w0, dw0=dw0, trace=trace, profile=profile)
+    Only an invalid ``config`` raises (InvalidParams); every other outcome is
+    a status. A Gamma evaluation that fails, at a guess or an iterate, gives
+    SINGULAR_INTEGRATION (with the ``abscissa`` where the integration broke)
+    or OMEGA_NON_POSITIVE, and ``h_star`` is the h* that failed. A flat
+    residual, or a step beyond the float range of h*, gives SECANT_BREAKDOWN
+    with ``h_star`` the last iterate. ``message`` says why, and the iterate
+    that failed has index ``len(trace)``. MAX_ITER_EXCEEDED keeps the values
+    recovered from the last iterate.
+    """
+    config.validate()
+    tol, sigma = config.tol, scaling.sigma
+    trace: list[ItmIteration] = []
+    endpoints: list[State2] = []
+
+    def failed(status: ItmStatus, h_star: float, message: str,
+               abscissa: float = math.nan) -> ItmResult:
+        return ItmResult(status=status, omega=math.nan, h_star=h_star, s=math.nan, w0=math.nan,
+                         dw0=math.nan, trace=trace, message=message, abscissa=abscissa)
+
+    def evaluate(h_star: float) -> Optional[ItmResult]:
+        """Append the iterate at h_star to the trace, or return the failed result."""
+        try:
+            g, om, ep = evaluate_gamma(problem, scaling, h_star, config)
+        except SingularRhs as exc:
+            return failed(ItmStatus.SINGULAR_INTEGRATION, h_star, str(exc), exc.abscissa)
+        except OmegaNonPositive as exc:
+            return failed(ItmStatus.OMEGA_NON_POSITIVE, h_star, str(exc))
+        s_j = om ** (-scaling.delta) * config.s_star
+        trace.append(ItmIteration(len(trace), h_star, g, om, s_j))
+        endpoints.append(ep)
+        return None
+
+    def finished(status: ItmStatus, it: ItmIteration) -> ItmResult:
+        s, w0, dw0 = recover_values(it.omega, scaling, endpoints[it.j], config.s_star)
+        return ItmResult(status=status, omega=it.omega, h_star=it.h_star, s=s, w0=w0, dw0=dw0,
+                         trace=trace)
 
     # burn-in pair: Gamma must be evaluable at both guesses
-    g0, om0, _ep0 = evaluate_gamma(problem, scaling, config.h0, config)
-    s0 = om0 ** (-scaling.delta) * config.s_star
-    trace = [ItmIteration(0, config.h0, g0, om0, s0)]
+    for h_star in (config.h0, config.h1):
+        if (failure := evaluate(h_star)) is not None:
+            return failure
+    if abs(trace[0].gamma_val) <= tol:
+        return finished(ItmStatus.CONVERGED, trace[0])
 
-    g1, om1, ep1 = evaluate_gamma(problem, scaling, config.h1, config)
-    s1 = om1 ** (-scaling.delta) * config.s_star
-    trace.append(ItmIteration(1, config.h1, g1, om1, s1))
-
-    if abs(g0) <= tol:
-        return make_result(ItmStatus.CONVERGED, config.h0, om0, _ep0, trace)
-
-    h_prev, g_prev, s_prev = config.h0, g0, s0
-    h_cur, g_cur, s_cur, om_cur, ep_cur = config.h1, g1, s1, om1, ep1
-    clamped_last = False
-
-    j = 1
-    while not (abs(g_cur) <= tol and abs(s_cur - s_prev) <= tol):
-        if j >= config.max_iter:
-            return make_result(ItmStatus.MAX_ITER_EXCEEDED, h_cur, om_cur, ep_cur, trace)
-        if g_cur == g_prev:
-            raise SecantBreakdown(
-                f"Gamma({h_cur}) == Gamma({h_prev}) = {g_cur} away from a root")
-        h_next = h_cur - g_cur * (h_cur - h_prev) / (g_cur - g_prev)
-        lo, hi = problem.h_star_domain
-        if not lo < h_next < hi:
-            if clamped_last:
-                raise DomainExit(
-                    f"secant iterate {h_next} left the h* domain twice in a row")
-            h_next = _clamp_to_domain(h_next, h_cur, problem.h_star_domain)
-            clamped_last = True
-        else:
-            clamped_last = False
-
-        j += 1
-        try:
-            g_next, om_next, ep_next = evaluate_gamma(problem, scaling, h_next, config)
-        except SingularRhs:
-            return make_result(ItmStatus.SINGULAR_INTEGRATION, h_next, math.nan, None, trace)
-        except OmegaNonPositive:
-            return make_result(ItmStatus.OMEGA_NON_POSITIVE, h_next, math.nan, None, trace)
-        s_next = om_next ** (-scaling.delta) * config.s_star
-        trace.append(ItmIteration(j, h_next, g_next, om_next, s_next))
-
-        h_prev, g_prev, s_prev = h_cur, g_cur, s_cur
-        h_cur, g_cur, s_cur, om_cur, ep_cur = h_next, g_next, s_next, om_next, ep_next
-
-    return make_result(ItmStatus.CONVERGED, h_cur, om_cur, ep_cur, trace)
+    while True:
+        prev, cur = trace[-2:]
+        if abs(cur.gamma_val) <= tol and abs(cur.s_j - prev.s_j) <= tol:
+            return finished(ItmStatus.CONVERGED, cur)
+        if cur.j >= config.max_iter:
+            return finished(ItmStatus.MAX_ITER_EXCEEDED, cur)
+        x_prev, x_cur = math.log(prev.h_star), math.log(cur.h_star)
+        f_prev = x_prev - sigma * math.log(prev.omega)
+        f_cur = x_cur - sigma * math.log(cur.omega)
+        if f_cur == f_prev:
+            return failed(ItmStatus.SECANT_BREAKDOWN, cur.h_star,
+                          f"flat residual: log(1 + Gamma) = {f_cur!r} at h* = "
+                          f"{prev.h_star!r} and at h* = {cur.h_star!r}")
+        x_next = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
+        if not abs(x_next) <= _MAX_LOG_H:
+            return failed(ItmStatus.SECANT_BREAKDOWN, cur.h_star,
+                          f"secant step from h* = {cur.h_star!r} to log h* = "
+                          f"{x_next!r} leaves the floating-point range")
+        if (failure := evaluate(math.exp(x_next))) is not None:
+            return failure

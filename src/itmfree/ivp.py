@@ -82,7 +82,10 @@ def _rk4(rhs: Rhs, z0: float, y0: State2, z1: float, n_steps: int,
         zs[0], ws[0], dws[0] = z, w, dw
 
     def f(za: float, wa: float, dwa: float) -> tuple[float, float]:
-        kw, kdw = rhs(za, State2(wa, dwa))
+        try:
+            kw, kdw = rhs(za, State2(wa, dwa))
+        except OverflowError:  # float ** overflows with an error, not to inf
+            raise SingularRhs(za) from None
         if not (math.isfinite(kw) and math.isfinite(kdw)):
             raise SingularRhs(za)
         return kw, kdw
@@ -125,7 +128,7 @@ def integrate_inward(rhs: Rhs, z_start: float, y_start: State2, z_end: float,
     Raises
     ------
     SingularRhs
-        If any stage evaluation returns a non-finite value; the exception
+        If any stage evaluation overflows or returns a non-finite value; the exception
         carries the abscissa at which the singularity was met.
     """
     if n_steps < 1:

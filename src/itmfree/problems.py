@@ -98,7 +98,6 @@ def make_stefan(params: StefanParams) -> tuple[ReducedFreeBvp, ExtendedScaling]:
         extended_rhs=extended_rhs,
         extended_boundary_value=lambda h, s: 0.0,
         extended_boundary_slope=lambda h, s: -0.5 * h ** 0.75 * S * s,
-        h_star_domain=(0.0, math.inf),
     )
     scaling = ExtendedScaling(
         delta=-1.0,
@@ -139,7 +138,6 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
         extended_rhs=shifted_terms,
         extended_boundary_value=lambda h, s: h * H + math.sqrt(h) * s,
         extended_boundary_slope=lambda h, s: math.sqrt(h) * slope,
-        h_star_domain=(0.0, math.inf),
         to_original=lambda eta, y: State2(y.w - eta, y.dw - 1.0),
     )
     scaling = ExtendedScaling(

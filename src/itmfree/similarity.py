@@ -114,7 +114,7 @@ def reconstruct_physical(profile: SolutionProfile, exps: SimilarityExponents,
     x = eta t^(1/gamma), u = t^alpha U(eta), du/dx = t^(alpha - 1/gamma) U'(eta),
     and x_w = eta_w t^(1/gamma).
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise NonPositiveTime(f"t must be positive, got {t}")
     tg = t ** (1.0 / exps.gamma)
     ta = t ** exps.alpha
@@ -129,7 +129,7 @@ def reconstruct_physical(profile: SolutionProfile, exps: SimilarityExponents,
 
 def flux_at_origin(exps: SimilarityExponents, U0: float, dU0: float, t: float) -> float:
     """Flux u^n u_x at x = 0: B t^(beta (n+1)) U(0)^n U'(0)."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise NonPositiveTime(f"t must be positive, got {t}")
     beta = exps.beta if exps.beta is not None else 0.0
     return exps.coefficient * t ** (beta * (exps.n + 1.0)) * U0 ** exps.n * dU0
@@ -137,6 +137,6 @@ def flux_at_origin(exps: SimilarityExponents, U0: float, dU0: float, t: float) -
 
 def height_at_origin(exps: SimilarityExponents, U0: float, t: float) -> float:
     """Field value at x = 0: t^alpha U(0)."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise NonPositiveTime(f"t must be positive, got {t}")
     return t ** exps.alpha * U0

@@ -1,8 +1,10 @@
 import json
+import math
 import re
 
 import pytest
 
+from itmfree import cli
 from itmfree.cli import main
 
 
@@ -126,9 +128,23 @@ def test_reconstruct_identity_at_t1(capsys):
 
 
 def test_reconstruct_rejects_nonpositive_t(capsys):
-    code, _, err = run(capsys, ["reconstruct", "--t", "0"])
+    for t in ("0", "nan"):
+        code, out, err = run(capsys, ["reconstruct", "--t", t])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: t must be positive")
+
+
+@pytest.mark.parametrize("argv", [["profile"], ["reconstruct", "--t", "1"]])
+def test_points_below_one_rejected_before_solving(monkeypatch, capsys, argv):
+    def no_solve(*args):
+        raise AssertionError("solved before checking --points")
+
+    monkeypatch.setattr(cli, "secant_solve", no_solve)
+    code, out, err = run(capsys, argv + ["--points", "0"])
     assert code == 3
-    assert "error" in err
+    assert out == ""
+    assert err == "error: points must be at least 1, got 0\n"
 
 
 def test_check_invariance(capsys):
@@ -165,6 +181,29 @@ def test_custom_tol_reaches_tighter_stop(capsys):
     assert code == 0
     trace = json.loads(out)["result"]["trace"]
     assert abs(trace[-1]["gamma"]) <= 1e-9
+
+
+@pytest.mark.parametrize("argv, code, status", [
+    (["spread", "--H", "0.1"], 4, "singular_integration"),
+    (["spread", "--H", "2", "--L", "0.5"], 2, "secant_breakdown"),
+    (["stefan", "--max-iter", "2"], 2, "max_iter_exceeded"),
+])
+def test_failed_solve_reports_its_status(capsys, argv, code, status):
+    exit_code, out, err = run(capsys, argv + ["--format", "json"])
+    assert exit_code == code
+    result = json.loads(out)["result"]
+    assert result["status"] == status
+    detail = f": {result['message']}" if result["message"] else ""
+    assert err == f"error: solve did not converge: {status}{detail}\n"
+    if status == "singular_integration":
+        # the first guess already breaks, at the abscissa the message names
+        assert result["h_star"] == 0.5 and result["iterations"] == 0
+        assert str(result["abscissa"]) in result["message"]
+    elif status == "secant_breakdown":
+        assert result["message"].startswith(f"secant step from h* = {result['h_star']!r}")
+        assert math.isnan(result["abscissa"])
+    else:
+        assert result["message"] == "" and result["iterations"] == 2
 
 
 NON_CONVERGING = [

@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from itmfree.errors import (
-    DomainExit,
-    InvalidParams,
-    OmegaNonPositive,
-    SecantBreakdown,
-)
+from itmfree.errors import InvalidParams, OmegaNonPositive
 from itmfree.itm import (
     ExtendedScaling,
     ItmConfig,
@@ -34,6 +29,19 @@ GAMMA_SPREADING = {
 }
 
 
+# w = 1 everywhere, so omega and hence Gamma come from the omega rule alone
+CONSTANT_PROBLEM = ReducedFreeBvp(
+    rhs=lambda z, y: 0.0,
+    origin_condition=lambda y: y.w,
+    origin_constant=1.0,
+    boundary_value=lambda s: 1.0,
+    boundary_slope=lambda s: 0.0,
+    extended_rhs=lambda h, z, y: 0.0,
+    extended_boundary_value=lambda h, s: 1.0,
+    extended_boundary_slope=lambda h, s: 0.0,
+)
+
+
 @pytest.mark.parametrize("s_star, h_star", list(GAMMA_SPREADING))
 def test_evaluate_gamma_spreading(spreading_problem, s_star, h_star):
     problem, scaling = spreading_problem
@@ -50,6 +58,19 @@ def test_evaluate_gamma_stefan_near_root():
     gamma_val, omega, _ = evaluate_gamma(problem, scaling, 37.843777, config)
     assert omega == pytest.approx(2.4803125025213273, abs=1e-10)
     assert gamma_val == pytest.approx(-7.16885e-5, abs=1e-9)
+
+
+def test_gamma_beyond_float_range():
+    # at h* = 1e-200, omega ~ 1.25e-151 and omega^-4 overflows: Gamma is +inf,
+    # while the secant's residual log h* - 4 log omega stays finite
+    problem, scaling = make_stefan(StefanParams(S=1.0))
+    config = ItmConfig(s_star=0.5, step=1e-3, h0=1e-200, h1=40.0)
+    gamma_val, omega, _ = evaluate_gamma(problem, scaling, 1e-200, config)
+    assert gamma_val == math.inf
+    assert omega == pytest.approx(1.25e-151, rel=1e-12)
+    result = secant_solve(problem, scaling, config)
+    assert result.converged
+    assert result.s == pytest.approx(1.2401252666271911, abs=1e-9)
 
 
 def test_recover_values_identity():
@@ -167,45 +188,36 @@ def test_extended_degeneracy_at_h1(spreading_problem):
 
 
 def test_secant_breakdown():
-    # a Gamma that is flat and nonzero triggers the breakdown error
-    problem = ReducedFreeBvp(
-        rhs=lambda z, y: 0.0,
-        origin_condition=lambda y: y.w,
-        origin_constant=1.0,
-        boundary_value=lambda s: 1.0,
-        boundary_slope=lambda s: 0.0,
-        extended_rhs=lambda h, z, y: 0.0,
-        extended_boundary_value=lambda h, s: 1.0,
-        extended_boundary_slope=lambda h, s: 0.0,
-    )
-    # omega = 2 h* makes Gamma = h*/(2 h*) - 1 = -1/2 for every h*
+    # omega = 2 h* makes Gamma = h*/(2 h*) - 1 = -1/2 for every h*: the log
+    # residual log h* - log(2 h*) is flat, exactly or to one rounding
     scaling = ExtendedScaling(delta=1.0, sigma=1.0, omega_rule=lambda h, ep: 2.0 * h)
-    config = ItmConfig(s_star=1.0, step=0.1, h0=1.0, h1=1.5)
-    with pytest.raises(SecantBreakdown):
-        secant_solve(problem, scaling, config)
+
+    def solve(h1):
+        result = secant_solve(CONSTANT_PROBLEM, scaling,
+                              ItmConfig(s_star=1.0, step=0.1, h0=1.0, h1=h1))
+        assert result.status is ItmStatus.SECANT_BREAKDOWN
+        assert result.h_star == h1  # the last iterate, from which no step was possible
+        assert [it.h_star for it in result.trace] == [1.0, h1]
+        assert math.isnan(result.s) and math.isnan(result.abscissa)
+        return result.message
+
+    # log 1 - log 2 == log 2 - log 4 exactly
+    assert solve(2.0) == ("flat residual: log(1 + Gamma) = -0.6931471805599453 "
+                          "at h* = 1.0 and at h* = 2.0")
+    # log 1.5 - log 3 is one rounding off, so the step goes to log h* ~ -2.5e15
+    message = solve(1.5)
+    assert message.startswith("secant step from h* = 1.5 to log h* = -")
+    assert message.endswith(" leaves the floating-point range")
 
 
-def test_domain_clamp_then_exit():
-    # Gamma linear in h* with root far below the domain: first exit is
-    # clamped, the second is a hard error
-    def omega_rule(h, ep):
-        return (h + 10.0) ** -1.0  # Gamma = h*(h*+10) - 1, root ~ 0.099
-
-    problem = ReducedFreeBvp(
-        rhs=lambda z, y: 0.0,
-        origin_condition=lambda y: y.w,
-        origin_constant=1.0,
-        boundary_value=lambda s: 1.0,
-        boundary_slope=lambda s: 0.0,
-        extended_rhs=lambda h, z, y: 0.0,
-        extended_boundary_value=lambda h, s: 1.0,
-        extended_boundary_slope=lambda h, s: 0.0,
-        h_star_domain=(5.0, math.inf),
-    )
-    scaling = ExtendedScaling(delta=1.0, sigma=1.0, omega_rule=omega_rule)
-    config = ItmConfig(s_star=1.0, step=0.1, h0=20.0, h1=15.0)
-    with pytest.raises(DomainExit):
-        secant_solve(problem, scaling, config)
+def test_omega_non_positive_is_a_status():
+    scaling = ExtendedScaling(delta=1.0, sigma=1.0, omega_rule=lambda h, ep: 1.0 - h)
+    result = secant_solve(CONSTANT_PROBLEM, scaling,
+                          ItmConfig(s_star=1.0, step=0.1, h0=0.5, h1=2.0))
+    assert result.status is ItmStatus.OMEGA_NON_POSITIVE
+    assert result.h_star == 2.0 and len(result.trace) == 1  # h1 failed, index 1
+    assert result.message == "omega = -1.0 at h* = 2.0"
+    assert math.isnan(result.omega) and math.isnan(result.abscissa)
 
 
 def test_config_validation():
@@ -215,8 +227,14 @@ def test_config_validation():
     with pytest.raises(InvalidParams):
         secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=1.0, h1=1.0))
     with pytest.raises(InvalidParams):
-        # guesses must sit inside the h* domain
+        # guesses must be positive: the secant steps in log h*
         secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=-1.0, h1=2.0))
+    with pytest.raises(InvalidParams):
+        secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=1.0, h1=2.0,
+                                                 tol=math.nan))
+    with pytest.raises(InvalidParams):
+        # a step longer than s_star would be cut to one step of length s_star
+        secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=10.0, h0=30.0, h1=40.0))
 
 
 def test_trace_indices_and_s_positive(stefan_s1):
@@ -228,11 +246,11 @@ def test_trace_indices_and_s_positive(stefan_s1):
 def test_profile_recording(spreading_problem):
     problem, scaling = spreading_problem
     config = ItmConfig(s_star=1.0, step=5e-4, h0=0.5, h1=0.1)
-    result = secant_solve(problem, scaling, config, record_profile=True, profile_steps=100)
-    assert result.profile is not None
-    assert len(result.profile) == 101
+    result = secant_solve(problem, scaling, config)
+    profile = original_profile(problem, result.s, 100)
+    assert len(profile) == 101
     # profile is reported in the original U variable, increasing eta
-    assert result.profile.eta[0] == 0.0
-    assert result.profile.eta[-1] == pytest.approx(result.s)
-    assert result.profile.u[-1] == pytest.approx(0.5, abs=1e-8)  # U(eta_w) = H
-    assert result.profile.du[0] == pytest.approx(0.0, abs=1e-6)  # U'(0) = 0
+    assert profile.eta[0] == 0.0
+    assert profile.eta[-1] == pytest.approx(result.s)
+    assert profile.u[-1] == pytest.approx(0.5, abs=1e-8)  # U(eta_w) = H
+    assert profile.du[0] == pytest.approx(0.0, abs=1e-6)  # U'(0) = 0

@@ -74,14 +74,16 @@ def test_reversal_consistency():
 
 
 def test_singular_rhs_reports_abscissa():
-    def rhs(z, y):
-        if z < 0.5:
-            return (y.dw, float("nan"))
-        return (y.dw, 0.0)
+    # below z = 0.5 the RHS is nan, or a float ** that raises OverflowError
+    for bad in (lambda: float("nan"), lambda: 1e200 ** 2):
+        def rhs(z, y):
+            if z < 0.5:
+                return (y.dw, bad())
+            return (y.dw, 0.0)
 
-    with pytest.raises(SingularRhs) as exc:
-        integrate_inward(rhs, 1.0, State2(0.0, 1.0), 0.0, 100)
-    assert 0.0 <= exc.value.abscissa <= 0.51
+        with pytest.raises(SingularRhs) as exc:
+            integrate_inward(rhs, 1.0, State2(0.0, 1.0), 0.0, 100)
+        assert 0.0 <= exc.value.abscissa <= 0.51
 
 
 def test_determinism():

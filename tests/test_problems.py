@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from itmfree.errors import InvalidParams, SingularRhs
-from itmfree.itm import ItmConfig, evaluate_gamma, original_profile, secant_solve
+from itmfree.itm import ItmConfig, ItmStatus, evaluate_gamma, original_profile, secant_solve
 from itmfree.ivp import State2
 from itmfree.problems import (
     STEFAN_GUESSES,
@@ -134,6 +134,56 @@ def test_default_guesses_untabulated_converge(S):
     result = secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1))
     assert result.converged
     assert result.s == pytest.approx(neumann_eta_w(S), abs=1e-5)
+
+
+@pytest.mark.parametrize("k", range(-30, 31))
+def test_stefan_sweep_converges_to_neumann_root(k):
+    # S = 10^(k/10) with the default guesses; Gamma swings from +1257 to -1
+    # over a factor of 4 in h* at S = 0.001, a secant in linear h* stalls
+    # for S <= 0.0126
+    S = 10.0 ** (k / 10)
+    problem, scaling = make_stefan(StefanParams(S=S))
+    h0, h1 = stefan_default_guesses(S)
+    result = secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1))
+    assert result.converged
+    assert abs(result.s - neumann_eta_w(S)) <= 1e-8
+
+
+# Outcome per (H, L) on the spreading grid at s* = 0.5, step 5e-4, guesses
+# 0.5/0.1; columns are L = -2, -1, -0.5, 0, 0.5, 1. C: converged;
+# S: singular_integration at a burn-in guess; B: secant_breakdown.
+SPREAD_GRID_L = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
+SPREAD_GRID = {
+    0.1: "SSSSSS",
+    0.25: "CCCSSS",
+    0.5: "CCCSSS",
+    1.0: "CCCSSS",
+    2.0: "CCCCBB",
+}
+
+
+@pytest.mark.parametrize("H, L, outcome", [
+    (H, L, row[i]) for H, row in SPREAD_GRID.items() for i, L in enumerate(SPREAD_GRID_L)])
+def test_spreading_grid_outcomes(H, L, outcome):
+    problem, scaling = make_spreading(SpreadingParams(H=H, L=L))
+    config = ItmConfig(s_star=0.5, step=5e-4, h0=0.5, h1=0.1)
+    result = secant_solve(problem, scaling, config)
+    if outcome == "C":
+        assert result.converged
+        assert result.message == "" and math.isnan(result.abscissa)
+        prof = original_profile(problem, result.s, 1000)
+        assert abs(prof.du[0]) <= 1e-5  # origin condition U'(0) = 0
+        return
+    assert result.message
+    if outcome == "S":
+        assert result.status is ItmStatus.SINGULAR_INTEGRATION
+        assert len(result.trace) < 2
+        assert result.h_star == (config.h0, config.h1)[len(result.trace)]
+        assert 0.0 <= result.abscissa <= config.s_star
+    else:
+        assert result.status is ItmStatus.SECANT_BREAKDOWN
+        assert result.h_star == result.trace[-1].h_star
+        assert math.isnan(result.abscissa)
 
 
 @settings(max_examples=20, deadline=None)

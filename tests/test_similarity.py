@@ -127,6 +127,8 @@ def test_reconstruct_rejects_nonpositive_time():
         reconstruct_physical(_sample_profile(), stefan_exponents(), 1.0, 0.0)
     with pytest.raises(NonPositiveTime):
         reconstruct_physical(_sample_profile(), stefan_exponents(), 1.0, -2.0)
+    with pytest.raises(NonPositiveTime):
+        reconstruct_physical(_sample_profile(), stefan_exponents(), 1.0, math.nan)
 
 
 @given(st.floats(min_value=0.1, max_value=10.0),
