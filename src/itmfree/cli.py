@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from typing import Any, Callable, Optional, Sequence
@@ -241,8 +242,8 @@ def cmd_profile(args: argparse.Namespace) -> Output:
     physical variables."""
     if args.points < 1:
         raise InvalidParams(f"points must be at least 1, got {args.points}")
-    if args.command == "reconstruct" and not args.t > 0.0:
-        raise InvalidParams(f"t must be positive, got {args.t}")
+    if args.command == "reconstruct" and not 0.0 < args.t < math.inf:
+        raise InvalidParams(f"t must be positive and finite, got {args.t}")
     spec = PROBLEMS[args.problem]
     problem, _, _, result = _solve(spec, vars(args))
     if not result.converged:

@@ -10,7 +10,7 @@ class DegenerateExponent(ItmFreeError):
 
 
 class NonPositiveTime(ItmFreeError):
-    """A physical reconstruction was requested at t <= 0."""
+    """A physical reconstruction was requested at a t that is not positive and finite."""
 
 
 class DomainError(ItmFreeError):

@@ -21,6 +21,7 @@ s = omega^(-delta) s*, w(0) = omega^(-1) w*(0), w'(0) = omega^(delta-1) w*'(0).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -44,30 +45,31 @@ __all__ = [
 ]
 
 
-def _identity_output(eta: float, state: State2) -> State2:
-    return state
+def _identity_output(eta: float, w: float, dw: float) -> tuple[float, float]:
+    return w, dw
 
 
 @dataclass(frozen=True)
 class ReducedFreeBvp:
     """A second-order free boundary problem plus its extended embedding.
 
-    ``rhs(z, y)`` returns w'' for the original problem; ``extended_rhs`` takes
-    the embedding parameter h* first. Setting h* = 1 in the extended closures
-    must reproduce the original ones pointwise. ``to_original`` undoes any
+    ``rhs(z, w, dw)`` returns w'' for the original problem;
+    ``extended_rhs(h, z, w, dw)`` takes the embedding parameter h* first.
+    Setting h* = 1 in the extended closures must reproduce the original ones
+    pointwise. ``to_original(eta, w, dw)`` returns (u, du), undoing any
     dependent-variable shift used to make the origin condition inhomogeneous
     (identity when no shift was needed).
     """
 
-    rhs: Callable[[float, State2], float]
+    rhs: Callable[[float, float, float], float]
     origin_condition: Callable[[State2], float]
     origin_constant: float
     boundary_value: Callable[[float], float]
     boundary_slope: Callable[[float], float]
-    extended_rhs: Callable[[float, float, State2], float]
+    extended_rhs: Callable[[float, float, float, float], float]
     extended_boundary_value: Callable[[float, float], float]
     extended_boundary_slope: Callable[[float, float], float]
-    to_original: Callable[[float, State2], State2] = _identity_output
+    to_original: Callable[[float, float, float], tuple[float, float]] = _identity_output
 
 
 @dataclass(frozen=True)
@@ -171,9 +173,10 @@ def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
                    ) -> tuple[float, float, State2]:
     """One inward integration of the extended problem; returns (Gamma, omega, endpoint).
 
-    Raises SingularRhs if the integration hits a singularity and
-    OmegaNonPositive if the recovered group parameter is not positive or not
-    finite. Gamma is +inf when 1 + Gamma exceeds the float range.
+    Raises SingularRhs if the integration starts from a non-finite state or
+    hits a singularity, and OmegaNonPositive if the recovered group parameter
+    is not positive or not finite. Gamma is +inf when 1 + Gamma exceeds the
+    float range.
     """
     s_star = config.s_star
     y_start = State2(
@@ -181,11 +184,8 @@ def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
         problem.extended_boundary_slope(h_star, s_star),
     )
     n_steps = steps_for_interval(s_star, 0.0, config.step)
-
-    def rhs(z: float, y: State2) -> tuple[float, float]:
-        return (y.dw, problem.extended_rhs(h_star, z, y))
-
-    res = integrate_inward(rhs, s_star, y_start, 0.0, n_steps)
+    res = integrate_inward(functools.partial(problem.extended_rhs, h_star),
+                           s_star, y_start, 0.0, n_steps)
     omega = scaling.omega_rule(h_star, res.endpoint)
     if not (omega > 0.0) or not math.isfinite(omega):
         raise OmegaNonPositive(f"omega = {omega} at h* = {h_star}")
@@ -218,18 +218,10 @@ def original_profile(problem: ReducedFreeBvp, s: float, n_steps: int) -> Solutio
     by increasing abscissa.
     """
     y_start = State2(problem.boundary_value(s), problem.boundary_slope(s))
-
-    def rhs(z: float, y: State2) -> tuple[float, float]:
-        return (y.dw, problem.rhs(z, y))
-
-    res = integrate_inward(rhs, s, y_start, 0.0, n_steps, record_profile=True)
-    prof = res.profile
-    assert prof is not None
-    out = prof.reversed()
-    for i in range(len(out)):
-        st = problem.to_original(out.eta[i], State2(out.u[i], out.du[i]))
-        out.u[i], out.du[i] = st.w, st.dw
-    return out
+    prof = integrate_inward(problem.rhs, s, y_start, 0.0, n_steps, record_profile=True).profile
+    eta = prof.eta[::-1]
+    u, du = zip(*map(problem.to_original, eta, prof.u[::-1], prof.du[::-1]))
+    return SolutionProfile(eta, u, du)
 
 
 _MAX_LOG_H = math.log(sys.float_info.max)  # exp(x) is finite and positive for |x| up to this

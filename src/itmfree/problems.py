@@ -5,12 +5,12 @@ paired with its extended scaling group.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .errors import InvalidParams, SingularRhs
 from .itm import ExtendedScaling, ReducedFreeBvp
-from .ivp import State2
 from .similarity import OriginKind, SimilarityExponents
 
 __all__ = [
@@ -39,25 +39,27 @@ STEFAN_GUESSES: dict[float, tuple[float, float]] = {
 
 @dataclass(frozen=True)
 class StefanParams:
-    """S is the inverse Stefan number (S > 0)."""
+    """S is the inverse Stefan number (0 < S < inf)."""
 
     S: float
 
     def __post_init__(self) -> None:
-        if not self.S > 0.0:
-            raise InvalidParams(f"S must be positive, got {self.S}")
+        if not 0.0 < self.S < math.inf:
+            raise InvalidParams(f"S must be positive and finite, got {self.S}")
 
 
 @dataclass(frozen=True)
 class SpreadingParams:
-    """Free-boundary fluid height H (nonzero) and slope constant L."""
+    """Free-boundary fluid height H (finite, nonzero) and finite slope constant L."""
 
     H: float
     L: float
 
     def __post_init__(self) -> None:
-        if self.H == 0.0:
-            raise InvalidParams("H must be nonzero")
+        if not (math.isfinite(self.H) and self.H != 0.0):
+            raise InvalidParams(f"H must be finite and nonzero, got {self.H}")
+        if not math.isfinite(self.L):
+            raise InvalidParams(f"L must be finite, got {self.L}")
 
 
 def stefan_exponents() -> SimilarityExponents:
@@ -83,11 +85,11 @@ def make_stefan(params: StefanParams) -> tuple[ReducedFreeBvp, ExtendedScaling]:
     """
     S = params.S
 
-    def rhs(z: float, y: State2) -> float:
-        return -0.5 * z * y.dw
+    def rhs(z: float, w: float, dw: float) -> float:
+        return -0.5 * z * dw
 
-    def extended_rhs(h: float, z: float, y: State2) -> float:
-        return -0.5 * math.sqrt(h) * z * y.dw
+    def extended_rhs(h: float, z: float, w: float, dw: float) -> float:
+        return -0.5 * math.sqrt(h) * z * dw
 
     problem = ReducedFreeBvp(
         rhs=rhs,
@@ -119,18 +121,18 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
     H, L = params.H, params.L
     slope = L / (5.0 * H ** 3) + 1.0
 
-    def shifted_terms(h: float, z: float, y: State2) -> float:
+    def shifted_terms(h: float, z: float, w: float, dw: float) -> float:
         sh = math.sqrt(h)
-        u = y.w - sh * z
+        u = w - sh * z
         if u <= 0.0:
             # (V - h^(1/2) eta)^(-3) blows up; diagnose instead of NaN
             raise SingularRhs(z, f"V - h^(1/2) eta = {u} <= 0 at eta = {z}")
-        du = y.dw - sh
+        du = dw - sh
         c = h * h / 5.0
         return -3.0 * du * du / u - c * z * du / u ** 3 - c / u ** 2
 
     problem = ReducedFreeBvp(
-        rhs=lambda z, y: shifted_terms(1.0, z, y),
+        rhs=functools.partial(shifted_terms, 1.0),
         origin_condition=lambda y: y.dw,
         origin_constant=1.0,
         boundary_value=lambda s: H + s,
@@ -138,7 +140,7 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
         extended_rhs=shifted_terms,
         extended_boundary_value=lambda h, s: h * H + math.sqrt(h) * s,
         extended_boundary_slope=lambda h, s: math.sqrt(h) * slope,
-        to_original=lambda eta, y: State2(y.w - eta, y.dw - 1.0),
+        to_original=lambda eta, w, dw: (w - eta, dw - 1.0),
     )
     scaling = ExtendedScaling(
         delta=0.5,

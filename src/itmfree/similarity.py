@@ -15,10 +15,9 @@ profiles between physical and similarity variables.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .errors import DegenerateExponent, NonPositiveTime
 from .ivp import SolutionProfile
@@ -58,9 +57,9 @@ class PhysicalProfile:
     """A solution profile in physical (x, u) variables at a fixed time."""
 
     t: float
-    x: np.ndarray
-    u: np.ndarray
-    du_dx: np.ndarray
+    x: tuple[float, ...]
+    u: tuple[float, ...]
+    du_dx: tuple[float, ...]
     x_w: float
 
 
@@ -107,6 +106,11 @@ def check_invariance(exps: SimilarityExponents) -> list[float]:
     return [pde, origin]
 
 
+def _check_time(t: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise NonPositiveTime(f"t must be positive and finite, got {t}")
+
+
 def reconstruct_physical(profile: SolutionProfile, exps: SimilarityExponents,
                          eta_w: float, t: float) -> PhysicalProfile:
     """Map a similarity profile back to physical variables at time t.
@@ -114,29 +118,27 @@ def reconstruct_physical(profile: SolutionProfile, exps: SimilarityExponents,
     x = eta t^(1/gamma), u = t^alpha U(eta), du/dx = t^(alpha - 1/gamma) U'(eta),
     and x_w = eta_w t^(1/gamma).
     """
-    if not t > 0.0:
-        raise NonPositiveTime(f"t must be positive, got {t}")
+    _check_time(t)
     tg = t ** (1.0 / exps.gamma)
     ta = t ** exps.alpha
+    tslope = ta / tg
     return PhysicalProfile(
         t=t,
-        x=profile.eta * tg,
-        u=profile.u * ta,
-        du_dx=profile.du * (ta / tg),
+        x=tuple(eta * tg for eta in profile.eta),
+        u=tuple(u * ta for u in profile.u),
+        du_dx=tuple(du * tslope for du in profile.du),
         x_w=eta_w * tg,
     )
 
 
 def flux_at_origin(exps: SimilarityExponents, U0: float, dU0: float, t: float) -> float:
     """Flux u^n u_x at x = 0: B t^(beta (n+1)) U(0)^n U'(0)."""
-    if not t > 0.0:
-        raise NonPositiveTime(f"t must be positive, got {t}")
+    _check_time(t)
     beta = exps.beta if exps.beta is not None else 0.0
     return exps.coefficient * t ** (beta * (exps.n + 1.0)) * U0 ** exps.n * dU0
 
 
 def height_at_origin(exps: SimilarityExponents, U0: float, t: float) -> float:
     """Field value at x = 0: t^alpha U(0)."""
-    if not t > 0.0:
-        raise NonPositiveTime(f"t must be positive, got {t}")
+    _check_time(t)
     return t ** exps.alpha * U0

@@ -277,7 +277,7 @@ def test_criterion_6_rk4_order_property():
     from itmfree.ivp import State2, integrate_inward
 
     failures = []
-    rhs = lambda z, y: (y.dw, y.w)
+    rhs = lambda z, w, dw: w
     errors = {}
     for n in (50, 100, 200, 400):
         res = integrate_inward(rhs, 1.0, State2(math.e, math.e), 0.0, n)

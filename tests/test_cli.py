@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,7 +132,7 @@ def test_reconstruct_identity_at_t1(capsys):
 
 
 def test_reconstruct_rejects_nonpositive_t(capsys):
-    for t in ("0", "nan"):
+    for t in ("0", "nan", "inf"):
         code, out, err = run(capsys, ["reconstruct", "--t", t])
         assert code == 3
         assert out == ""
@@ -269,3 +273,38 @@ def test_unread_flags_are_rejected(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spread", "--H", "nan"], "H must be finite and nonzero, got nan"),
+    (["spread", "--L", "inf"], "L must be finite, got inf"),
+    (["stefan", "--S", "inf"], "S must be positive and finite, got inf"),
+])
+def test_non_finite_params_rejected(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spread", "--H", "2", "--h0", "1e308", "--h1", "1e307"],  # h* H overflows
+    ["stefan", "--S", "1e300", "--h0", "1e300", "--h1", "1e299"],  # the slope overflows
+])
+def test_overflowing_start_state_is_singular(capsys, argv):
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert code == 4
+    result = json.loads(out)["result"]
+    assert result["status"] == "singular_integration"
+    assert result["iterations"] == 0 and result["h_star"] == float(argv[-3])
+    assert result["abscissa"] == 0.5  # s*: the start state itself is not finite
+    assert err == f"error: solve did not converge: singular_integration: {result['message']}\n"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is a test dependency only; importing it would about triple the CLI's import time
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys, itmfree.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -31,12 +31,12 @@ GAMMA_SPREADING = {
 
 # w = 1 everywhere, so omega and hence Gamma come from the omega rule alone
 CONSTANT_PROBLEM = ReducedFreeBvp(
-    rhs=lambda z, y: 0.0,
+    rhs=lambda z, w, dw: 0.0,
     origin_condition=lambda y: y.w,
     origin_constant=1.0,
     boundary_value=lambda s: 1.0,
     boundary_slope=lambda s: 0.0,
-    extended_rhs=lambda h, z, y: 0.0,
+    extended_rhs=lambda h, z, w, dw: 0.0,
     extended_boundary_value=lambda h, s: 1.0,
     extended_boundary_slope=lambda h, s: 0.0,
 )
@@ -113,12 +113,12 @@ def test_generic_omega_rule_matches_specific_for_stefan():
 
 def test_generic_omega_rule_requires_nonzero_constant():
     problem = ReducedFreeBvp(
-        rhs=lambda z, y: 0.0,
+        rhs=lambda z, w, dw: 0.0,
         origin_condition=lambda y: y.dw,
         origin_constant=0.0,
         boundary_value=lambda s: 0.0,
         boundary_slope=lambda s: 1.0,
-        extended_rhs=lambda h, z, y: 0.0,
+        extended_rhs=lambda h, z, w, dw: 0.0,
         extended_boundary_value=lambda h, s: 0.0,
         extended_boundary_slope=lambda h, s: 1.0,
     )
@@ -182,7 +182,7 @@ def test_extended_degeneracy_at_h1(spreading_problem):
     zs = np.linspace(0.05, 1.0, 20)
     for z in zs:
         y = State2(1.3 + 0.2 * z, 0.4)
-        assert problem.extended_rhs(1.0, z, y) == problem.rhs(z, y)
+        assert problem.extended_rhs(1.0, z, *y) == problem.rhs(z, *y)
         assert problem.extended_boundary_value(1.0, z) == problem.boundary_value(z)
         assert problem.extended_boundary_slope(1.0, z) == problem.boundary_slope(z)
 
@@ -254,3 +254,19 @@ def test_profile_recording(spreading_problem):
     assert profile.eta[-1] == pytest.approx(result.s)
     assert profile.u[-1] == pytest.approx(0.5, abs=1e-8)  # U(eta_w) = H
     assert profile.du[0] == pytest.approx(0.0, abs=1e-6)  # U'(0) = 0
+
+
+@pytest.mark.parametrize("make, config", [
+    (lambda: make_spreading(SpreadingParams(H=2.0, L=-0.5)),  # h* H overflows
+     ItmConfig(s_star=0.5, step=5e-4, h0=1e308, h1=1e307)),
+    (lambda: make_stefan(StefanParams(S=1e300)),  # -(1/2) h*^(3/4) S s* overflows
+     ItmConfig(s_star=0.5, step=1e-3, h0=1e300, h1=1e299)),
+])
+def test_overflowing_guess_is_singular_at_s_star(make, config):
+    problem, scaling = make()
+    result = secant_solve(problem, scaling, config)
+    assert result.status is ItmStatus.SINGULAR_INTEGRATION
+    assert result.h_star == config.h0 and result.trace == []
+    assert result.abscissa == config.s_star
+    assert result.message.startswith("start state (w, w') = (")
+    assert result.message.endswith(f") at z = {config.s_star!r} is not finite")

@@ -25,14 +25,21 @@ def test_param_validation():
         StefanParams(S=-1.0)
     with pytest.raises(InvalidParams):
         SpreadingParams(H=0.0, L=1.0)
-    SpreadingParams(H=-0.5, L=0.0)  # negative H and any L are allowed
+    for S in (math.inf, math.nan):
+        with pytest.raises(InvalidParams):
+            StefanParams(S=S)
+    for H, L in ((math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                 (0.5, math.inf), (0.5, -math.inf), (0.5, math.nan)):
+        with pytest.raises(InvalidParams):
+            SpreadingParams(H=H, L=L)
+    SpreadingParams(H=-0.5, L=0.0)  # negative H and any finite L are allowed
 
 
 def test_stefan_extended_degenerates_at_h1():
     problem, _ = make_stefan(StefanParams(S=2.0))
     y = State2(0.3, 0.7)
     for z in np.linspace(0.0, 1.5, 11):
-        assert problem.extended_rhs(1.0, z, y) == problem.rhs(z, y)
+        assert problem.extended_rhs(1.0, z, *y) == problem.rhs(z, *y)
     assert problem.extended_boundary_value(1.0, 0.8) == problem.boundary_value(0.8)
     assert problem.extended_boundary_slope(1.0, 0.8) == pytest.approx(
         problem.boundary_slope(0.8), rel=1e-15)
@@ -41,7 +48,7 @@ def test_stefan_extended_degenerates_at_h1():
 def test_spreading_extended_degenerates_at_h1():
     problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
     y = State2(0.3 + 0.7, -0.5 + 1.0)  # shifted variables at eta = 0.7
-    assert problem.extended_rhs(1.0, 0.7, y) == problem.rhs(0.7, y)
+    assert problem.extended_rhs(1.0, 0.7, *y) == problem.rhs(0.7, *y)
     assert problem.extended_boundary_value(1.0, 0.7) == problem.boundary_value(0.7)
     assert problem.extended_boundary_slope(1.0, 0.7) == problem.boundary_slope(0.7)
 
@@ -50,13 +57,13 @@ def test_spreading_boundary_slope_value():
     # L/(5 H^3) = -0.5/0.625 = -4/5; the shifted slope adds 1
     problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
     assert problem.boundary_slope(1.0) == pytest.approx(0.2, rel=1e-14)
-    assert problem.to_original(1.0, State2(1.5, 0.2)) == State2(0.5, -0.8)
+    assert problem.to_original(1.0, 1.5, 0.2) == (0.5, -0.8)
 
 
 def test_spreading_positivity_guard():
     problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
     with pytest.raises(SingularRhs) as exc:
-        problem.extended_rhs(4.0, 1.0, State2(1.0, 0.0))  # V - 2 eta = -1
+        problem.extended_rhs(4.0, 1.0, 1.0, 0.0)  # V - 2 eta = -1
     assert exc.value.abscissa == 1.0
 
 

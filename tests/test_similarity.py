@@ -129,6 +129,8 @@ def test_reconstruct_rejects_nonpositive_time():
         reconstruct_physical(_sample_profile(), stefan_exponents(), 1.0, -2.0)
     with pytest.raises(NonPositiveTime):
         reconstruct_physical(_sample_profile(), stefan_exponents(), 1.0, math.nan)
+    with pytest.raises(NonPositiveTime):
+        reconstruct_physical(_sample_profile(), stefan_exponents(), 1.0, math.inf)
 
 
 @given(st.floats(min_value=0.1, max_value=10.0),
@@ -139,8 +141,9 @@ def test_reconstruct_group_property(t, lam):
     prof = _sample_profile()
     a = reconstruct_physical(prof, exps, 1.2, lam ** exps.gamma * t)
     b = reconstruct_physical(prof, exps, 1.2, t)
-    np.testing.assert_allclose(a.x, lam * b.x, rtol=1e-12)
-    np.testing.assert_allclose(a.u, lam ** (exps.alpha * exps.gamma) * b.u, rtol=1e-12)
+    np.testing.assert_allclose(a.x, [lam * x for x in b.x], rtol=1e-12)
+    np.testing.assert_allclose(a.u, [lam ** (exps.alpha * exps.gamma) * u for u in b.u],
+                               rtol=1e-12)
     assert a.x_w == pytest.approx(lam * b.x_w, rel=1e-12)
 
 
