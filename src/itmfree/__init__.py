@@ -25,7 +25,6 @@ from .itm import (
     ItmStatus,
     ReducedFreeBvp,
     evaluate_gamma,
-    generic_omega_rule,
     original_profile,
     recover_values,
     secant_solve,

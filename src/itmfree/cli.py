@@ -83,11 +83,12 @@ def _stefan_row(p: dict[str, float], config: ItmConfig, r: ItmResult) -> dict[st
 
 
 def _spread_references(p: dict[str, float], result: ItmResult) -> dict[str, float]:
-    if (p["H"], p["L"]) != (0.5, -0.5):
+    H, L = p["H"], p["L"]
+    if not (H > 0.0 and L < 0.0):  # L >= 0 has no solution, H < 0 no closed form
         return {}
-    exact_u0 = exact_spreading(0.0).w
-    return {"exact_U0": exact_u0, "exact_eta_w": 1.0,
-            "delta_U0": result.w0 - exact_u0, "delta_eta_w": result.s - 1.0}
+    exact_u0, exact_eta_w = exact_spreading(0.0, H, L).w, -L / H
+    return {"exact_U0": exact_u0, "exact_eta_w": exact_eta_w,
+            "delta_U0": result.w0 - exact_u0, "delta_eta_w": result.s - exact_eta_w}
 
 
 PROBLEMS: dict[str, ProblemSpec] = {

@@ -8,7 +8,13 @@ with unknown free boundary s is embedded in an extended problem carrying a
 parameter h; the extension is chosen to be partially invariant under the
 stretching group z -> omega^delta z, w -> omega w, h -> omega^sigma h. One
 inward RK4 integration of the extended problem from a fixed starred boundary
-s* yields the group parameter omega and hence the transformation function
+s* yields w*(0) and w*'(0). The origin condition has a group weight k,
+g(omega w, omega^(1-delta) w') = omega^k g(w, w'), so the group parameter is
+
+    omega = (g(w*(0), w*'(0)) / C)^(1/k) ,
+
+defined only when the ratio is positive, and it gives the transformation
+function
 
     Gamma(h*) = omega^(-sigma) h* - 1 ,
 
@@ -40,13 +46,17 @@ __all__ = [
     "evaluate_gamma",
     "secant_solve",
     "recover_values",
-    "generic_omega_rule",
     "original_profile",
 ]
 
 
 def _identity_output(eta: float, w: float, dw: float) -> tuple[float, float]:
     return w, dw
+
+
+def _require_finite_nonzero(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value != 0.0):
+        raise InvalidParams(f"{name} must be finite and nonzero, got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,13 +66,14 @@ class ReducedFreeBvp:
     ``rhs(z, w, dw)`` returns w'' for the original problem;
     ``extended_rhs(h, z, w, dw)`` takes the embedding parameter h* first.
     Setting h* = 1 in the extended closures must reproduce the original ones
-    pointwise. ``to_original(eta, w, dw)`` returns (u, du), undoing any
-    dependent-variable shift used to make the origin condition inhomogeneous
-    (identity when no shift was needed).
+    pointwise. ``origin_condition(w, dw)`` is g in g(w(0), w'(0)) = C, and C
+    is ``origin_constant``, finite and nonzero: a homogeneous condition must
+    be shifted first. ``to_original(eta, w, dw)`` returns (u, du), undoing
+    that shift (identity when no shift was needed).
     """
 
     rhs: Callable[[float, float, float], float]
-    origin_condition: Callable[[State2], float]
+    origin_condition: Callable[[float, float], float]
     origin_constant: float
     boundary_value: Callable[[float], float]
     boundary_slope: Callable[[float], float]
@@ -71,14 +82,20 @@ class ReducedFreeBvp:
     extended_boundary_slope: Callable[[float, float], float]
     to_original: Callable[[float, float, float], tuple[float, float]] = _identity_output
 
+    def __post_init__(self) -> None:
+        _require_finite_nonzero("origin constant", self.origin_constant)
+
 
 @dataclass(frozen=True)
 class ExtendedScaling:
-    """Group exponents (delta, sigma) and the omega-recovery rule."""
+    """Group exponents (delta, sigma) and the group weight k of the origin condition."""
 
     delta: float
     sigma: float
-    omega_rule: Callable[[float, State2], float]
+    origin_weight: float
+
+    def __post_init__(self) -> None:
+        _require_finite_nonzero("origin weight", self.origin_weight)
 
 
 @dataclass(frozen=True)
@@ -145,38 +162,16 @@ class ItmResult:
         return self.trace[-1].j if self.trace else 0
 
 
-def generic_omega_rule(problem: ReducedFreeBvp, scaling: ExtendedScaling
-                       ) -> Callable[[float, State2], float]:
-    """Default omega recovery via the extended origin condition.
-
-    omega = h*^(1/sigma) g(h*^(-1/sigma) w*(0), h*^((delta-1)/sigma) w*'(0)) / C.
-    Requires C != 0; problems with a homogeneous origin condition must be
-    shifted first and given a problem-specific rule.
-    """
-    C = problem.origin_constant
-    if C == 0.0:
-        raise ValueError("generic omega rule requires a nonzero origin constant")
-    delta, sigma = scaling.delta, scaling.sigma
-
-    def rule(h_star: float, endpoint: State2) -> float:
-        scaled = State2(
-            h_star ** (-1.0 / sigma) * endpoint.w,
-            h_star ** ((delta - 1.0) / sigma) * endpoint.dw,
-        )
-        return h_star ** (1.0 / sigma) * problem.origin_condition(scaled) / C
-
-    return rule
-
-
 def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
                    h_star: float, config: ItmConfig
                    ) -> tuple[float, float, State2]:
     """One inward integration of the extended problem; returns (Gamma, omega, endpoint).
 
-    Raises SingularRhs if the integration starts from a non-finite state or
-    hits a singularity, and OmegaNonPositive if the recovered group parameter
-    is not positive or not finite. Gamma is +inf when 1 + Gamma exceeds the
-    float range.
+    omega = (g(w*(0), w*'(0)) / C)^(1/k). Raises SingularRhs if the
+    integration starts from a non-finite state or hits a singularity, and
+    OmegaNonPositive if the ratio g/C is not positive or omega is not a
+    positive finite float. Gamma is +inf when 1 + Gamma exceeds the float
+    range.
     """
     s_star = config.s_star
     y_start = State2(
@@ -186,8 +181,14 @@ def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     n_steps = steps_for_interval(s_star, 0.0, config.step)
     res = integrate_inward(functools.partial(problem.extended_rhs, h_star),
                            s_star, y_start, 0.0, n_steps)
-    omega = scaling.omega_rule(h_star, res.endpoint)
-    if not (omega > 0.0) or not math.isfinite(omega):
+    ratio = problem.origin_condition(*res.endpoint) / problem.origin_constant
+    if not ratio > 0.0:
+        raise OmegaNonPositive(f"g(w*(0), w*'(0))/C = {ratio} at h* = {h_star} is not positive")
+    try:
+        omega = ratio ** (1.0 / scaling.origin_weight)
+    except OverflowError:
+        omega = math.inf
+    if not 0.0 < omega < math.inf:
         raise OmegaNonPositive(f"omega = {omega} at h* = {h_star}")
     try:
         gamma_val = omega ** (-scaling.sigma) * h_star - 1.0

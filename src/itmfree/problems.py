@@ -50,7 +50,7 @@ class StefanParams:
 
 @dataclass(frozen=True)
 class SpreadingParams:
-    """Free-boundary fluid height H (finite, nonzero) and finite slope constant L."""
+    """Free-boundary fluid height H (H^3 finite and nonzero) and finite slope constant L."""
 
     H: float
     L: float
@@ -58,6 +58,12 @@ class SpreadingParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.H) and self.H != 0.0):
             raise InvalidParams(f"H must be finite and nonzero, got {self.H}")
+        try:
+            cube = self.H ** 3
+        except OverflowError:
+            cube = math.inf
+        if not (math.isfinite(cube) and cube != 0.0):  # the front slope divides by H^3
+            raise InvalidParams(f"H^3 must be a finite nonzero float, got H = {self.H}")
         if not math.isfinite(self.L):
             raise InvalidParams(f"L must be finite, got {self.L}")
 
@@ -80,8 +86,9 @@ def make_stefan(params: StefanParams) -> tuple[ReducedFreeBvp, ExtendedScaling]:
     Original ODE: U'' = -(1/2) eta U', with U(0) = 1, U(eta_w) = 0 and
     U'(eta_w) = -(S/2) eta_w. The extended problem multiplies the convection
     coefficient by h^(1/2) and the boundary slope by h^(3/4); the group
-    exponents are delta = -1, sigma = 4 and omega is read off as U*(0). The
-    h^(1/2) factor restricts h* to positive values.
+    exponents are delta = -1, sigma = 4, and the origin condition g = U = 1
+    has weight 1, so omega = U*(0). The h^(1/2) factor restricts h* to
+    positive values.
     """
     S = params.S
 
@@ -93,7 +100,7 @@ def make_stefan(params: StefanParams) -> tuple[ReducedFreeBvp, ExtendedScaling]:
 
     problem = ReducedFreeBvp(
         rhs=rhs,
-        origin_condition=lambda y: y.w,
+        origin_condition=lambda w, dw: w,
         origin_constant=1.0,
         boundary_value=lambda s: 0.0,
         boundary_slope=lambda s: -0.5 * S * s,
@@ -101,12 +108,7 @@ def make_stefan(params: StefanParams) -> tuple[ReducedFreeBvp, ExtendedScaling]:
         extended_boundary_value=lambda h, s: 0.0,
         extended_boundary_slope=lambda h, s: -0.5 * h ** 0.75 * S * s,
     )
-    scaling = ExtendedScaling(
-        delta=-1.0,
-        sigma=4.0,
-        omega_rule=lambda h, endpoint: endpoint.w,
-    )
-    return problem, scaling
+    return problem, ExtendedScaling(delta=-1.0, sigma=4.0, origin_weight=1.0)
 
 
 def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedScaling]:
@@ -115,8 +117,9 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
     The origin condition U'(0) = 0 is homogeneous, so the solver works in the
     shifted variable V = U + eta, for which V'(0) = 1. The extended problem
     carries h^(1/2) inside the shift and h^2 on the singular terms; the group
-    exponents are delta = 1/2, sigma = 1 and omega = (V*'(0))^2. Profiles and
-    recovered values are mapped back to U = V - eta.
+    exponents are delta = 1/2, sigma = 1, and the origin condition g = V' = 1
+    has weight 1 - delta = 1/2, so omega = V*'(0)^2, defined only for
+    V*'(0) > 0. Profiles and recovered values are mapped back to U = V - eta.
     """
     H, L = params.H, params.L
     slope = L / (5.0 * H ** 3) + 1.0
@@ -133,7 +136,7 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
 
     problem = ReducedFreeBvp(
         rhs=functools.partial(shifted_terms, 1.0),
-        origin_condition=lambda y: y.dw,
+        origin_condition=lambda w, dw: dw,
         origin_constant=1.0,
         boundary_value=lambda s: H + s,
         boundary_slope=lambda s: slope,
@@ -142,12 +145,7 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
         extended_boundary_slope=lambda h, s: math.sqrt(h) * slope,
         to_original=lambda eta, w, dw: (w - eta, dw - 1.0),
     )
-    scaling = ExtendedScaling(
-        delta=0.5,
-        sigma=1.0,
-        omega_rule=lambda h, endpoint: endpoint.dw ** 2,
-    )
-    return problem, scaling
+    return problem, ExtendedScaling(delta=0.5, sigma=1.0, origin_weight=0.5)
 
 
 def stefan_default_guesses(S: float) -> tuple[float, float]:

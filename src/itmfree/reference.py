@@ -2,8 +2,8 @@
 
 Includes an in-house error function (so results do not depend on the host
 libm), the erf-based closed form of the one-phase Stefan problem with its
-transcendental free-boundary equation, the exact spreading profile for
-H = 1/2, L = -1/2, and stored asymptotic front positions.
+transcendental free-boundary equation, the exact spreading profile for every
+H > 0, L < 0, and stored asymptotic front positions.
 """
 
 from __future__ import annotations
@@ -86,20 +86,26 @@ def erf(x: float) -> float:
 
 
 def _front_equation(S: float, eta_w: float) -> float:
-    return math.sqrt(math.pi) * S * eta_w * math.exp(eta_w * eta_w / 4.0) * erf(eta_w / 2.0) - 2.0
+    # log(sqrt(pi) S eta_w exp(eta_w^2/4) erf(eta_w/2) / 2): it has the sign of
+    # the equation's lhs minus 2, and exp(eta_w^2/4) cannot overflow
+    return (math.log(math.sqrt(math.pi) * S * eta_w * erf(eta_w / 2.0) / 2.0)
+            + eta_w * eta_w / 4.0)
 
 
 def neumann_eta_w(S: float) -> float:
     """Positive root of sqrt(pi) S eta_w exp(eta_w^2/4) erf(eta_w/2) = 2.
 
-    Found by bisection on a bracket grown from (0, 4], then polished with a
-    few Newton steps; the returned root has residual <= 1e-12.
+    Found by bisection on a bracket grown from [1e-12, 4] in either
+    direction, then polished with a few Newton steps on the equation in log
+    form; the returned root has residual <= 1e-12.
     """
     if not S > 0.0:
         raise InvalidParams(f"S must be positive, got {S}")
     lo, hi = 1e-12, 4.0
     while _front_equation(S, hi) < 0.0:
         lo, hi = hi, 2.0 * hi
+    while _front_equation(S, lo) >= 0.0:  # large S: the root lies below 1e-12
+        lo, hi = 0.5 * lo, lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if _front_equation(S, mid) < 0.0:
@@ -112,7 +118,7 @@ def neumann_eta_w(S: float) -> float:
     # Newton polish; the lhs is smooth and strictly increasing
     for _ in range(4):
         f = _front_equation(S, root)
-        h = 1e-7 * max(root, 1.0)
+        h = 1e-7 * root  # a relative step: the log form is singular at eta_w = 0
         df = (_front_equation(S, root + h) - _front_equation(S, root - h)) / (2.0 * h)
         root -= f / df
     return root
@@ -132,14 +138,20 @@ def neumann_profile(eta: float, eta_w: float) -> State2:
     return State2(u, du)
 
 
-def exact_spreading(eta: float) -> State2:
-    """Exact spreading profile for H = 1/2, L = -1/2 (eta_w = 1).
+def exact_spreading(eta: float, H: float = 0.5, L: float = -0.5) -> State2:
+    """Exact spreading profile for front height H > 0 and slope constant L < 0.
 
-    U = [(3/10)(5/12 + 1 - eta^2)]^(1/3); dU/deta = -(eta/5) U^(-2).
+    The ODE is (U^3 U')' + (eta U)'/5 = 0, and U'(0) = 0 gives U^2 U' = -eta/5.
+    With U(eta_w) = H and U'(eta_w) = L/(5 H^3) the front is eta_w = -L/H and
+    U^3 = H^3 + (3/10)(eta_w^2 - eta^2); dU/deta = -(eta/5) U^(-2).
+    (H, L) = (1/2, -1/2) gives eta_w = 1 and U(0)^3 = 17/40.
     """
-    if eta < 0.0 or eta > 1.0:
-        raise DomainError(f"eta = {eta} outside [0, 1]")
-    u = (0.3 * (5.0 / 12.0 + 1.0 - eta * eta)) ** (1.0 / 3.0)
+    if not (0.0 < H * H * H < math.inf and -math.inf < L < 0.0):
+        raise InvalidParams(f"the closed form needs 0 < H^3 < inf and L < 0, got H = {H}, L = {L}")
+    eta_w = -L / H
+    if eta < 0.0 or eta > eta_w:
+        raise DomainError(f"eta = {eta} outside [0, {eta_w}]")
+    u = (H * H * H + 0.3 * (eta_w - eta) * (eta_w + eta)) ** (1.0 / 3.0)
     du = -eta / (5.0 * u * u)
     return State2(u, du)
 

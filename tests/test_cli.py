@@ -279,6 +279,8 @@ def test_unread_flags_are_rejected(capsys, argv):
     (["spread", "--H", "nan"], "H must be finite and nonzero, got nan"),
     (["spread", "--L", "inf"], "L must be finite, got inf"),
     (["stefan", "--S", "inf"], "S must be positive and finite, got inf"),
+    (["spread", "--H", "1e200"], "H^3 must be a finite nonzero float, got H = 1e+200"),
+    (["spread", "--H", "1e-200"], "H^3 must be a finite nonzero float, got H = 1e-200"),
 ])
 def test_non_finite_params_rejected(capsys, argv, message):
     code, out, err = run(capsys, argv)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from itmfree.itm import (
     ItmStatus,
     ReducedFreeBvp,
     evaluate_gamma,
-    generic_omega_rule,
     original_profile,
     recover_values,
     secant_solve,
@@ -29,17 +29,19 @@ GAMMA_SPREADING = {
 }
 
 
-# w = 1 everywhere, so omega and hence Gamma come from the omega rule alone
-CONSTANT_PROBLEM = ReducedFreeBvp(
-    rhs=lambda z, w, dw: 0.0,
-    origin_condition=lambda y: y.w,
-    origin_constant=1.0,
-    boundary_value=lambda s: 1.0,
-    boundary_slope=lambda s: 0.0,
-    extended_rhs=lambda h, z, w, dw: 0.0,
-    extended_boundary_value=lambda h, s: 1.0,
-    extended_boundary_slope=lambda h, s: 0.0,
-)
+def constant_problem(boundary_value):
+    """w'' = 0 and w' = 0, so w*(0) = boundary_value(h*) exactly and, with
+    g = w, C = 1 and weight 1, omega = boundary_value(h*)."""
+    return ReducedFreeBvp(
+        rhs=lambda z, w, dw: 0.0,
+        origin_condition=lambda w, dw: w,
+        origin_constant=1.0,
+        boundary_value=lambda s: boundary_value(1.0),
+        boundary_slope=lambda s: 0.0,
+        extended_rhs=lambda h, z, w, dw: 0.0,
+        extended_boundary_value=lambda h, s: boundary_value(h),
+        extended_boundary_slope=lambda h, s: 0.0,
+    )
 
 
 @pytest.mark.parametrize("s_star, h_star", list(GAMMA_SPREADING))
@@ -48,14 +50,15 @@ def test_evaluate_gamma_spreading(spreading_problem, s_star, h_star):
     config = ItmConfig(s_star=s_star, step=5e-4, h0=0.5, h1=0.1)
     gamma_val, omega, endpoint = evaluate_gamma(problem, scaling, h_star, config)
     assert gamma_val == pytest.approx(GAMMA_SPREADING[(s_star, h_star)], abs=5e-10)
-    assert omega == pytest.approx(endpoint.dw ** 2, rel=1e-15)
+    assert omega == endpoint.dw ** 2  # g = V', C = 1, weight 1/2
 
 
 def test_evaluate_gamma_stefan_near_root():
     # U*(0) frozen from Gauss quadrature of the closed-form solution
     problem, scaling = make_stefan(StefanParams(S=1.0))
     config = ItmConfig(s_star=0.5, step=1e-3, h0=30.0, h1=40.0)
-    gamma_val, omega, _ = evaluate_gamma(problem, scaling, 37.843777, config)
+    gamma_val, omega, endpoint = evaluate_gamma(problem, scaling, 37.843777, config)
+    assert omega == endpoint.w  # g = U, C = 1, weight 1
     assert omega == pytest.approx(2.4803125025213273, abs=1e-10)
     assert gamma_val == pytest.approx(-7.16885e-5, abs=1e-9)
 
@@ -74,13 +77,13 @@ def test_gamma_beyond_float_range():
 
 
 def test_recover_values_identity():
-    scaling = ExtendedScaling(delta=-1.0, sigma=4.0, omega_rule=lambda h, ep: ep.w)
+    scaling = ExtendedScaling(delta=-1.0, sigma=4.0, origin_weight=1.0)
     s, w0, dw0 = recover_values(1.0, scaling, State2(0.3, -0.7), 0.5)
     assert (s, w0, dw0) == (0.5, 0.3, -0.7)
 
 
 def test_recover_values_stefan_scaling():
-    scaling = ExtendedScaling(delta=-1.0, sigma=4.0, omega_rule=lambda h, ep: ep.w)
+    scaling = ExtendedScaling(delta=-1.0, sigma=4.0, origin_weight=1.0)
     omega = 2.0
     s, w0, dw0 = recover_values(omega, scaling, State2(2.0, -4.0), 0.5)
     assert s == pytest.approx(omega * 0.5)          # s = omega^(-delta) s*
@@ -89,7 +92,7 @@ def test_recover_values_stefan_scaling():
 
 
 def test_recover_values_spreading_scaling():
-    scaling = ExtendedScaling(delta=0.5, sigma=1.0, omega_rule=lambda h, ep: ep.dw ** 2)
+    scaling = ExtendedScaling(delta=0.5, sigma=1.0, origin_weight=0.5)
     omega = 4.0
     s, w0, dw0 = recover_values(omega, scaling, State2(3.0, 2.0), 1.0)
     assert s == pytest.approx(omega ** -0.5)
@@ -98,33 +101,19 @@ def test_recover_values_spreading_scaling():
 
 
 def test_recover_values_rejects_nonpositive_omega():
-    scaling = ExtendedScaling(delta=1.0, sigma=1.0, omega_rule=lambda h, ep: ep.w)
+    scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
     with pytest.raises(OmegaNonPositive):
         recover_values(0.0, scaling, State2(1.0, 1.0), 1.0)
 
 
-def test_generic_omega_rule_matches_specific_for_stefan():
-    # for the Stefan reduction the generic quotient collapses to U*(0)
-    problem, scaling = make_stefan(StefanParams(S=1.0))
-    rule = generic_omega_rule(problem, scaling)
-    ep = State2(2.48, -5.6)
-    assert rule(37.8, ep) == pytest.approx(ep.w, rel=1e-15)
-
-
-def test_generic_omega_rule_requires_nonzero_constant():
-    problem = ReducedFreeBvp(
-        rhs=lambda z, w, dw: 0.0,
-        origin_condition=lambda y: y.dw,
-        origin_constant=0.0,
-        boundary_value=lambda s: 0.0,
-        boundary_slope=lambda s: 1.0,
-        extended_rhs=lambda h, z, w, dw: 0.0,
-        extended_boundary_value=lambda h, s: 0.0,
-        extended_boundary_slope=lambda h, s: 1.0,
-    )
-    scaling = ExtendedScaling(delta=1.0, sigma=1.0, omega_rule=lambda h, ep: 1.0)
-    with pytest.raises(ValueError):
-        generic_omega_rule(problem, scaling)
+def test_origin_constant_and_weight_must_be_finite_and_nonzero():
+    # omega = (g/C)^(1/k) needs C != 0 (a homogeneous condition must be
+    # shifted first) and a weight k != 0
+    for value in (0.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParams, match="origin constant must be finite and nonzero"):
+            dataclasses.replace(constant_problem(lambda h: 1.0), origin_constant=value)
+        with pytest.raises(InvalidParams, match="origin weight must be finite and nonzero"):
+            ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=value)
 
 
 def test_secant_solve_stefan_converges(stefan_s1):
@@ -190,10 +179,11 @@ def test_extended_degeneracy_at_h1(spreading_problem):
 def test_secant_breakdown():
     # omega = 2 h* makes Gamma = h*/(2 h*) - 1 = -1/2 for every h*: the log
     # residual log h* - log(2 h*) is flat, exactly or to one rounding
-    scaling = ExtendedScaling(delta=1.0, sigma=1.0, omega_rule=lambda h, ep: 2.0 * h)
+    problem = constant_problem(lambda h: 2.0 * h)
+    scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
 
     def solve(h1):
-        result = secant_solve(CONSTANT_PROBLEM, scaling,
+        result = secant_solve(problem, scaling,
                               ItmConfig(s_star=1.0, step=0.1, h0=1.0, h1=h1))
         assert result.status is ItmStatus.SECANT_BREAKDOWN
         assert result.h_star == h1  # the last iterate, from which no step was possible
@@ -211,13 +201,37 @@ def test_secant_breakdown():
 
 
 def test_omega_non_positive_is_a_status():
-    scaling = ExtendedScaling(delta=1.0, sigma=1.0, omega_rule=lambda h, ep: 1.0 - h)
-    result = secant_solve(CONSTANT_PROBLEM, scaling,
+    # g/C = w*(0) = 1 - h*, which is -1 at h1 = 2
+    scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
+    result = secant_solve(constant_problem(lambda h: 1.0 - h), scaling,
                           ItmConfig(s_star=1.0, step=0.1, h0=0.5, h1=2.0))
     assert result.status is ItmStatus.OMEGA_NON_POSITIVE
     assert result.h_star == 2.0 and len(result.trace) == 1  # h1 failed, index 1
-    assert result.message == "omega = -1.0 at h* = 2.0"
+    assert result.message == "g(w*(0), w*'(0))/C = -1.0 at h* = 2.0 is not positive"
     assert math.isnan(result.omega) and math.isnan(result.abscissa)
+
+
+def test_omega_beyond_float_range_is_a_status():
+    # g/C = 1e300 is positive, but omega = (g/C)^(1/k) = 1e3000 for k = 0.1
+    scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=0.1)
+    result = secant_solve(constant_problem(lambda h: 1e300), scaling,
+                          ItmConfig(s_star=1.0, step=0.1, h0=0.5, h1=2.0))
+    assert result.status is ItmStatus.OMEGA_NON_POSITIVE
+    assert result.h_star == 0.5 and result.trace == []
+    assert result.message == "omega = inf at h* = 0.5"
+
+
+@pytest.mark.parametrize("H, L", [(0.25, -0.5), (0.1, -0.5)])
+def test_sign_flipped_root_is_omega_non_positive(H, L):
+    # near h* = 100..316 the extended spreading problem has V*'(0) < 0, and
+    # V*'(0)^2 has a root there with U'(0) = -2; the signed ratio g/C = V*'(0)
+    # rejects it at the first guess
+    problem, scaling = make_spreading(SpreadingParams(H=H, L=L))
+    result = secant_solve(problem, scaling,
+                          ItmConfig(s_star=0.5, step=5e-4, h0=100.0, h1=316.0))
+    assert result.status is ItmStatus.OMEGA_NON_POSITIVE
+    assert result.h_star == 100.0 and result.trace == []
+    assert result.message.startswith("g(w*(0), w*'(0))/C = -")
 
 
 def test_config_validation():

@@ -29,7 +29,8 @@ def test_param_validation():
         with pytest.raises(InvalidParams):
             StefanParams(S=S)
     for H, L in ((math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
-                 (0.5, math.inf), (0.5, -math.inf), (0.5, math.nan)):
+                 (0.5, math.inf), (0.5, -math.inf), (0.5, math.nan),
+                 (1e200, -0.5), (-1e200, -0.5), (1e-200, -0.5)):  # H^3 overflows, underflows
         with pytest.raises(InvalidParams):
             SpreadingParams(H=H, L=L)
     SpreadingParams(H=-0.5, L=0.0)  # negative H and any finite L are allowed

@@ -69,6 +69,20 @@ def test_neumann_eta_w_values(S, expected):
     assert abs(_front_residual(S, root)) <= 1e-12
 
 
+@pytest.mark.parametrize("S", [1e-300, 1e20, 1e300])
+def test_neumann_eta_w_extreme_s(S):
+    # the root lies far outside [1e-12, 4] (about 52.4 for S = 1e-300 and
+    # sqrt(2/S) for large S), where exp(eta_w^2/4) overflows or the bracket
+    # must grow downward; judged by the log-form residual in 40-digit arithmetic
+    root = neumann_eta_w(S)
+    assert math.isfinite(root) and root > 0.0
+    with mpmath.workdps(40):
+        eta = mpmath.mpf(root)
+        residual = (mpmath.log(mpmath.sqrt(mpmath.pi) * S * eta * mpmath.erf(eta / 2) / 2)
+                    + eta ** 2 / 4)
+    assert abs(residual) <= 1e-12
+
+
 def test_neumann_eta_w_monotone_in_s():
     values = [neumann_eta_w(S) for S in (0.1, 0.5, 1.0, 5.0, 10.0, 50.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -120,15 +134,30 @@ def test_exact_spreading_values():
 
 def test_exact_spreading_ode_residual():
     # U'' = -3 U^(-1) U'^2 - (1/5) eta U^(-3) U' - (1/5) U^(-2), checked by
-    # central differences of the closed form
-    h = 1e-4
-    for eta in [0.01 + 0.049 * i for i in range(21)]:
-        if eta + h > 1.0:
-            continue
-        u = exact_spreading(eta)
-        upp = (exact_spreading(eta + h).dw - exact_spreading(eta - h).dw) / (2 * h)
-        rhs = (-3.0 * u.dw ** 2 / u.w - 0.2 * eta * u.dw / u.w ** 3 - 0.2 / u.w ** 2)
-        assert upp == pytest.approx(rhs, abs=1e-6)
+    # central differences of the closed form, with U(eta_w) = H,
+    # U'(eta_w) = L/(5 H^3) at eta_w = -L/H and U'(0) = 0
+    h = 1e-5
+    for H, L in ((0.5, -0.5), (0.25, -2.0), (1.0, -0.1), (2.0, -4.0), (0.1, -0.5)):
+        eta_w = -L / H
+        for eta in [eta_w * (0.01 + 0.049 * i) for i in range(21)]:
+            if eta + h > eta_w:
+                continue
+            u = exact_spreading(eta, H, L)
+            upp = (exact_spreading(eta + h, H, L).dw - exact_spreading(eta - h, H, L).dw) / (2 * h)
+            rhs = (-3.0 * u.dw ** 2 / u.w - 0.2 * eta * u.dw / u.w ** 3 - 0.2 / u.w ** 2)
+            assert upp == pytest.approx(rhs, rel=1e-6, abs=1e-6)
+        front = exact_spreading(eta_w, H, L)
+        assert front.w == pytest.approx(H, rel=1e-14)
+        assert front.dw == pytest.approx(L / (5.0 * H ** 3), rel=1e-13)
+        assert exact_spreading(0.0, H, L).dw == 0.0
+
+
+def test_exact_spreading_rejects_parameters_without_closed_form():
+    for H, L in ((0.5, 0.0), (0.5, 0.5), (-0.5, -0.5), (0.0, -0.5), (math.nan, -0.5),
+                 (0.5, math.nan), (math.inf, -0.5), (0.5, -math.inf),
+                 (1e200, -0.5), (1e-200, -0.5)):  # H^3 overflows, underflows
+        with pytest.raises(InvalidParams):
+            exact_spreading(0.0, H, L)
 
 
 def test_exact_spreading_domain():
