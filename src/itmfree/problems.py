@@ -59,10 +59,10 @@ class SpreadingParams:
         if not (math.isfinite(self.H) and self.H != 0.0):
             raise InvalidParams(f"H must be finite and nonzero, got {self.H}")
         try:
-            cube = self.H ** 3
+            cube = self.H ** 3  # the front slope divides by it
         except OverflowError:
             cube = math.inf
-        if not (math.isfinite(cube) and cube != 0.0):  # the front slope divides by H^3
+        if not 0.0 < abs(cube) < math.inf:
             raise InvalidParams(f"H^3 must be a finite nonzero float, got H = {self.H}")
         if not math.isfinite(self.L):
             raise InvalidParams(f"L must be finite, got {self.L}")

@@ -12,6 +12,7 @@ import math
 
 from .errors import DomainError, InvalidParams, NotTabulated
 from .ivp import State2
+from .problems import SpreadingParams
 
 __all__ = [
     "erf",
@@ -87,8 +88,9 @@ def erf(x: float) -> float:
 
 def _front_equation(S: float, eta_w: float) -> float:
     # log(sqrt(pi) S eta_w exp(eta_w^2/4) erf(eta_w/2) / 2): it has the sign of
-    # the equation's lhs minus 2, and exp(eta_w^2/4) cannot overflow
-    return (math.log(math.sqrt(math.pi) * S * eta_w * erf(eta_w / 2.0) / 2.0)
+    # the equation's lhs minus 2, and exp(eta_w^2/4) cannot overflow; S is
+    # multiplied by sqrt(pi)/2 < 1, so no finite S overflows the product
+    return (math.log(S * (math.sqrt(math.pi) / 2.0) * eta_w * erf(eta_w / 2.0))
             + eta_w * eta_w / 4.0)
 
 
@@ -146,12 +148,13 @@ def exact_spreading(eta: float, H: float = 0.5, L: float = -0.5) -> State2:
     U^3 = H^3 + (3/10)(eta_w^2 - eta^2); dU/deta = -(eta/5) U^(-2).
     (H, L) = (1/2, -1/2) gives eta_w = 1 and U(0)^3 = 17/40.
     """
-    if not (0.0 < H * H * H < math.inf and -math.inf < L < 0.0):
-        raise InvalidParams(f"the closed form needs 0 < H^3 < inf and L < 0, got H = {H}, L = {L}")
+    SpreadingParams(H, L)  # H^3 a finite nonzero float, L finite
+    if not (H > 0.0 and L < 0.0):
+        raise InvalidParams(f"the closed form needs H > 0 and L < 0, got H = {H}, L = {L}")
     eta_w = -L / H
     if eta < 0.0 or eta > eta_w:
         raise DomainError(f"eta = {eta} outside [0, {eta_w}]")
-    u = (H * H * H + 0.3 * (eta_w - eta) * (eta_w + eta)) ** (1.0 / 3.0)
+    u = (H ** 3 + 0.3 * (eta_w - eta) * (eta_w + eta)) ** (1.0 / 3.0)
     du = -eta / (5.0 * u * u)
     return State2(u, du)
 
