@@ -7,16 +7,7 @@ one-parameter extension, and finds the free boundary with one inward RK4
 integration per secant iteration on the transformation function.
 """
 
-from .errors import (
-    DegenerateExponent,
-    DomainError,
-    InvalidParams,
-    ItmFreeError,
-    NonPositiveTime,
-    NotTabulated,
-    OmegaNonPositive,
-    SingularRhs,
-)
+from .errors import InvalidParams, ItmFreeError, OmegaNonPositive, SingularRhs
 from .itm import (
     ExtendedScaling,
     ItmConfig,
@@ -29,7 +20,7 @@ from .itm import (
     recover_values,
     secant_solve,
 )
-from .ivp import IntegrationResult, SolutionProfile, State2, integrate_inward, steps_for_interval
+from .ivp import IntegrationResult, SolutionProfile, State2, integrate_inward
 from .problems import (
     STEFAN_GUESSES,
     SpreadingParams,

@@ -24,7 +24,7 @@ import sys
 import time
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import InvalidParams, ItmFreeError, SingularRhs
+from .errors import InvalidParams, SingularRhs
 from .itm import ItmConfig, ItmResult, ItmStatus, original_profile, secant_solve
 from .problems import (STEFAN_GUESSES, SpreadingParams, StefanParams, make_spreading,
                        make_stefan, spreading_exponents, stefan_default_guesses,
@@ -328,11 +328,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, text = args.func(args)
-    except ItmFreeError as exc:
-        # raised outside secant_solve: invalid parameters, or a singular profile
+    except (InvalidParams, SingularRhs) as exc:  # a rejected input, or a singular profile
         print(f"error: {exc}", file=sys.stderr)
-        return (EXIT_INVALID_PARAMS if isinstance(exc, InvalidParams)
-                else EXIT_SINGULAR if isinstance(exc, SingularRhs) else EXIT_NO_CONVERGENCE)
+        return EXIT_INVALID_PARAMS if isinstance(exc, InvalidParams) else EXIT_SINGULAR
     if text is not None:
         if args.out is None:
             sys.stdout.write(text)

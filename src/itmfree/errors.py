@@ -1,28 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Three are raised: ``InvalidParams`` when an argument is rejected,
+``SingularRhs`` when an integration breaks down, and ``OmegaNonPositive``
+when a Gamma evaluation cannot recover omega. ``secant_solve`` turns the last
+two into statuses.
+"""
 
 
 class ItmFreeError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegenerateExponent(ItmFreeError):
-    """A similarity-exponent formula has a vanishing denominator."""
-
-
-class NonPositiveTime(ItmFreeError):
-    """A physical reconstruction was requested at a t that is not positive and finite."""
-
-
-class DomainError(ItmFreeError):
-    """An abscissa lies outside the domain of a reference solution."""
-
-
 class InvalidParams(ItmFreeError):
-    """Problem parameters violate their admissibility constraints."""
-
-
-class NotTabulated(ItmFreeError):
-    """No stored reference value exists for the requested parameter."""
+    """An argument lies outside what the function or constructor accepts."""
 
 
 class SingularRhs(ItmFreeError):

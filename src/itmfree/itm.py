@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import InvalidParams, OmegaNonPositive, SingularRhs
-from .ivp import SolutionProfile, State2, integrate_inward, steps_for_interval
+from .ivp import SolutionProfile, State2, integrate_inward
 
 __all__ = [
     "ReducedFreeBvp",
@@ -59,24 +59,31 @@ def _require_finite_nonzero(name: str, value: float) -> None:
         raise InvalidParams(f"{name} must be finite and nonzero, got {value}")
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent for base > 0, with an overflow giving inf as in IEEE arithmetic."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ReducedFreeBvp:
     """A second-order free boundary problem plus its extended embedding.
 
     ``rhs(z, w, dw)`` returns w'' for the original problem;
-    ``extended_rhs(h, z, w, dw)`` takes the embedding parameter h* first.
-    Setting h* = 1 in the extended closures must reproduce the original ones
-    pointwise. ``origin_condition(w, dw)`` is g in g(w(0), w'(0)) = C, and C
-    is ``origin_constant``, finite and nonzero: a homogeneous condition must
-    be shifted first. ``to_original(eta, w, dw)`` returns (u, du), undoing
-    that shift (identity when no shift was needed).
+    ``extended_rhs(h, z, w, dw)`` must equal it at h = 1.
+    ``extended_boundary_value(h, s)`` and ``extended_boundary_slope(h, s)``
+    give w(s) and w'(s) of the extended problem; at h = 1 they are the
+    original free-boundary conditions. ``origin_condition(w, dw)`` is g in
+    g(w(0), w'(0)) = C, and C is ``origin_constant``, finite and nonzero: a
+    homogeneous condition must be shifted first. ``to_original(eta, w, dw)``
+    returns (u, du), undoing that shift (identity when no shift was needed).
     """
 
     rhs: Callable[[float, float, float], float]
     origin_condition: Callable[[float, float], float]
     origin_constant: float
-    boundary_value: Callable[[float], float]
-    boundary_slope: Callable[[float], float]
     extended_rhs: Callable[[float, float, float, float], float]
     extended_boundary_value: Callable[[float, float], float]
     extended_boundary_slope: Callable[[float, float], float]
@@ -100,6 +107,9 @@ class ExtendedScaling:
 
 @dataclass(frozen=True)
 class ItmConfig:
+    """Starred boundary s*, RK4 step, secant guesses h0 != h1 > 0, tolerance
+    and iteration bound; an inadmissible value raises InvalidParams."""
+
     s_star: float
     step: float
     h0: float
@@ -107,12 +117,14 @@ class ItmConfig:
     tol: float = 1e-6
     max_iter: int = 50
 
-    def validate(self) -> None:
-        if not self.s_star > 0.0:
-            raise InvalidParams("s_star must be positive")
-        if not 0.0 < self.step <= self.s_star:
-            # a longer step would silently become one step of length s_star
-            raise InvalidParams(f"step must lie in (0, s_star = {self.s_star}], got {self.step}")
+    def __post_init__(self) -> None:
+        if not 0.0 < self.s_star < math.inf:
+            raise InvalidParams(f"s_star must be positive and finite, got {self.s_star}")
+        # a longer step would silently become one step of length s_star, and
+        # the step count s_star/step must be a finite float
+        if not (0.0 < self.step <= self.s_star and self.s_star / self.step < math.inf):
+            raise InvalidParams(f"step must lie in (0, s_star = {self.s_star}] with s_star/step "
+                                f"finite, got {self.step}")
         if not self.tol > 0.0:  # a nan tol could never be met
             raise InvalidParams("tol must be positive")
         if self.h0 == self.h1:
@@ -141,7 +153,11 @@ class ItmStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class ItmResult:
-    """Outcome of ``secant_solve``; ``message`` and ``abscissa`` describe a failure."""
+    """Outcome of ``secant_solve``; ``message`` and ``abscissa`` describe a failure.
+
+    ``w0`` and ``dw0`` are in the original variables (U(0) and U'(0) for the
+    shifted spreading problem).
+    """
 
     status: ItmStatus
     omega: float
@@ -178,22 +194,18 @@ def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
         problem.extended_boundary_value(h_star, s_star),
         problem.extended_boundary_slope(h_star, s_star),
     )
-    n_steps = steps_for_interval(s_star, 0.0, config.step)
+    # ItmConfig keeps 0 < step <= s* and s*/step finite, so this is at least 1
+    n_steps = round(s_star / config.step)
     res = integrate_inward(functools.partial(problem.extended_rhs, h_star),
                            s_star, y_start, 0.0, n_steps)
     ratio = problem.origin_condition(*res.endpoint) / problem.origin_constant
     if not ratio > 0.0:
         raise OmegaNonPositive(f"g(w*(0), w*'(0))/C = {ratio} at h* = {h_star} is not positive")
-    try:
-        omega = ratio ** (1.0 / scaling.origin_weight)
-    except OverflowError:
-        omega = math.inf
+    omega = _power(ratio, 1.0 / scaling.origin_weight)
     if not 0.0 < omega < math.inf:
         raise OmegaNonPositive(f"omega = {omega} at h* = {h_star}")
-    try:
-        gamma_val = omega ** (-scaling.sigma) * h_star - 1.0
-    except OverflowError:  # the secant's residual log h* - sigma log omega is still finite
-        gamma_val = math.inf
+    # an infinite Gamma leaves the secant's residual log h* - sigma log omega finite
+    gamma_val = _power(omega, -scaling.sigma) * h_star - 1.0
     return gamma_val, omega, res.endpoint
 
 
@@ -202,23 +214,27 @@ def recover_values(omega: float, scaling: ExtendedScaling, endpoint: State2,
     """Scale the starred origin values back to the original problem.
 
     Returns (s, w(0), dw/dz(0)) with s = omega^(-delta) s*,
-    w(0) = omega^(-1) w*(0), dw/dz(0) = omega^(delta - 1) dw*/dz*(0).
+    w(0) = omega^(-1) w*(0), dw/dz(0) = omega^(delta - 1) dw*/dz*(0), in the
+    solver's variables (before ``to_original``). Raises InvalidParams unless
+    omega > 0; a power beyond the float range is inf.
     """
     if not omega > 0.0:
-        raise OmegaNonPositive(f"omega = {omega}")
-    s = omega ** (-scaling.delta) * s_star
+        raise InvalidParams(f"omega must be positive, got {omega}")
+    s = _power(omega, -scaling.delta) * s_star
     w0 = endpoint.w / omega
-    dw0 = omega ** (scaling.delta - 1.0) * endpoint.dw
+    dw0 = _power(omega, scaling.delta - 1.0) * endpoint.dw
     return s, w0, dw0
 
 
 def original_profile(problem: ReducedFreeBvp, s: float, n_steps: int) -> SolutionProfile:
     """Integrate the original (h = 1) problem inward from s, recording all steps.
 
-    The returned profile is in the original, un-shifted variables and ordered
-    by increasing abscissa.
+    The start state is the extended boundary data at h = 1. The returned
+    profile is in the original, un-shifted variables and ordered by
+    increasing abscissa.
     """
-    y_start = State2(problem.boundary_value(s), problem.boundary_slope(s))
+    y_start = State2(problem.extended_boundary_value(1.0, s),
+                     problem.extended_boundary_slope(1.0, s))
     prof = integrate_inward(problem.rhs, s, y_start, 0.0, n_steps, record_profile=True).profile
     eta = prof.eta[::-1]
     u, du = zip(*map(problem.to_original, eta, prof.u[::-1], prof.du[::-1]))
@@ -238,21 +254,20 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     logarithms, not as log1p(Gamma), which fails when 1 + Gamma underflows.
 
     Convergence requires both |Gamma(h*_j)| <= tol and |s_j - s_{j-1}| <= tol;
-    the two-clause test is first applied at j >= 1 (the s-difference needs two
-    iterates), except that a root handed in as h0 is accepted immediately
-    after the burn-in pair. The free boundary and origin values are recovered
-    from the scaling relations.
+    the test is first applied at j = 1, since the s-difference needs two
+    iterates. The free boundary and origin values are recovered from the
+    scaling relations, and ``to_original`` maps w(0), w'(0) back to the
+    original variables.
 
-    Only an invalid ``config`` raises (InvalidParams); every other outcome is
-    a status. A Gamma evaluation that fails, at a guess or an iterate, gives
-    SINGULAR_INTEGRATION (with the ``abscissa`` where the integration broke)
-    or OMEGA_NON_POSITIVE, and ``h_star`` is the h* that failed. A flat
+    Nothing is raised: ``config`` was checked when it was built, and every
+    outcome is a status. A Gamma evaluation that fails, at a guess or an
+    iterate, gives SINGULAR_INTEGRATION (with the ``abscissa`` where the
+    integration broke) or OMEGA_NON_POSITIVE, and ``h_star`` is the h* that failed. A flat
     residual, or a step beyond the float range of h*, gives SECANT_BREAKDOWN
     with ``h_star`` the last iterate. ``message`` says why, and the iterate
     that failed has index ``len(trace)``. MAX_ITER_EXCEEDED keeps the values
     recovered from the last iterate.
     """
-    config.validate()
     tol, sigma = config.tol, scaling.sigma
     trace: list[ItmIteration] = []
     endpoints: list[State2] = []
@@ -270,13 +285,14 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
             return failed(ItmStatus.SINGULAR_INTEGRATION, h_star, str(exc), exc.abscissa)
         except OmegaNonPositive as exc:
             return failed(ItmStatus.OMEGA_NON_POSITIVE, h_star, str(exc))
-        s_j = om ** (-scaling.delta) * config.s_star
+        s_j = _power(om, -scaling.delta) * config.s_star
         trace.append(ItmIteration(len(trace), h_star, g, om, s_j))
         endpoints.append(ep)
         return None
 
     def finished(status: ItmStatus, it: ItmIteration) -> ItmResult:
         s, w0, dw0 = recover_values(it.omega, scaling, endpoints[it.j], config.s_star)
+        w0, dw0 = problem.to_original(0.0, w0, dw0)
         return ItmResult(status=status, omega=it.omega, h_star=it.h_star, s=s, w0=w0, dw0=dw0,
                          trace=trace)
 
@@ -284,8 +300,6 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     for h_star in (config.h0, config.h1):
         if (failure := evaluate(h_star)) is not None:
             return failure
-    if abs(trace[0].gamma_val) <= tol:
-        return finished(ItmStatus.CONVERGED, trace[0])
 
     while True:
         prev, cur = trace[-2:]

@@ -11,15 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .errors import SingularRhs
+from .errors import InvalidParams, SingularRhs
 
-__all__ = [
-    "State2",
-    "SolutionProfile",
-    "IntegrationResult",
-    "integrate_inward",
-    "steps_for_interval",
-]
+__all__ = ["State2", "SolutionProfile", "IntegrationResult", "integrate_inward"]
 
 Rhs = Callable[[float, float, float], float]  # (z, w, w') -> w''
 
@@ -50,17 +44,6 @@ class IntegrationResult:
     profile: Optional[SolutionProfile] = None
 
 
-def steps_for_interval(z_start: float, z_end: float, step: float) -> int:
-    """Number of fixed steps for a requested step magnitude.
-
-    The count is rounded so the terminal abscissa is hit exactly; the actual
-    step used is |z_start - z_end| / n.
-    """
-    if step <= 0.0:
-        raise ValueError("step magnitude must be positive")
-    return max(1, round(abs(z_start - z_end) / step))
-
-
 def integrate_inward(rhs: Rhs, z_start: float, y_start: State2, z_end: float,
                      n_steps: int, record_profile: bool = False) -> IntegrationResult:
     """Integrate w'' = rhs(z, w, w') from z_start down to z_end with classical RK4.
@@ -80,6 +63,8 @@ def integrate_inward(rhs: Rhs, z_start: float, y_start: State2, z_end: float,
 
     Raises
     ------
+    InvalidParams
+        If n_steps < 1 or the interval does not point inward.
     SingularRhs
         If the start state is not finite (at z_start), or if a step overflows
         or ends in a non-finite state (at the abscissa that step ends on).
@@ -87,9 +72,9 @@ def integrate_inward(rhs: Rhs, z_start: float, y_start: State2, z_end: float,
         non-finite stage makes the new state non-finite.
     """
     if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+        raise InvalidParams("n_steps must be >= 1")
     if not z_end < z_start:
-        raise ValueError("inward integration requires z_end < z_start")
+        raise InvalidParams("inward integration requires z_end < z_start")
     if not (math.isfinite(y_start.w) and math.isfinite(y_start.dw)):
         raise SingularRhs(z_start, f"start state (w, w') = ({y_start.w!r}, {y_start.dw!r}) "
                                    f"at z = {z_start!r} is not finite")

@@ -102,8 +102,6 @@ def make_stefan(params: StefanParams) -> tuple[ReducedFreeBvp, ExtendedScaling]:
         rhs=rhs,
         origin_condition=lambda w, dw: w,
         origin_constant=1.0,
-        boundary_value=lambda s: 0.0,
-        boundary_slope=lambda s: -0.5 * S * s,
         extended_rhs=extended_rhs,
         extended_boundary_value=lambda h, s: 0.0,
         extended_boundary_slope=lambda h, s: -0.5 * h ** 0.75 * S * s,
@@ -138,8 +136,6 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
         rhs=functools.partial(shifted_terms, 1.0),
         origin_condition=lambda w, dw: dw,
         origin_constant=1.0,
-        boundary_value=lambda s: H + s,
-        boundary_slope=lambda s: slope,
         extended_rhs=shifted_terms,
         extended_boundary_value=lambda h, s: h * H + math.sqrt(h) * s,
         extended_boundary_slope=lambda h, s: math.sqrt(h) * slope,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, InvalidParams, NotTabulated
+from .errors import InvalidParams
 from .ivp import State2
 from .problems import SpreadingParams
 
@@ -133,7 +133,7 @@ def neumann_profile(eta: float, eta_w: float) -> State2:
     dU/deta = -(1/sqrt(pi)) exp(-eta^2/4) / erf(eta_w/2).
     """
     if eta_w <= 0.0 or eta < 0.0 or eta > eta_w:
-        raise DomainError(f"eta = {eta} outside [0, {eta_w}]")
+        raise InvalidParams(f"eta = {eta} outside [0, {eta_w}]")
     denom = erf(eta_w / 2.0)
     u = 1.0 - erf(eta / 2.0) / denom
     du = -math.exp(-eta * eta / 4.0) / (math.sqrt(math.pi) * denom)
@@ -153,7 +153,7 @@ def exact_spreading(eta: float, H: float = 0.5, L: float = -0.5) -> State2:
         raise InvalidParams(f"the closed form needs H > 0 and L < 0, got H = {H}, L = {L}")
     eta_w = -L / H
     if eta < 0.0 or eta > eta_w:
-        raise DomainError(f"eta = {eta} outside [0, {eta_w}]")
+        raise InvalidParams(f"eta = {eta} outside [0, {eta_w}]")
     u = (H ** 3 + 0.3 * (eta_w - eta) * (eta_w + eta)) ** (1.0 / 3.0)
     du = -eta / (5.0 * u * u)
     return State2(u, du)
@@ -164,4 +164,4 @@ def asymptotic_eta_w(S: float) -> float:
     try:
         return ASYMPTOTIC_ETA_W[S]
     except KeyError:
-        raise NotTabulated(f"no asymptotic value stored for S = {S}") from None
+        raise InvalidParams(f"no asymptotic value stored for S = {S}") from None

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegenerateExponent, NonPositiveTime
+from .errors import InvalidParams
 from .ivp import SolutionProfile
 
 __all__ = [
@@ -67,7 +67,7 @@ def gamma_from_alpha(n: float, alpha: float) -> float:
     """Similarity time exponent gamma = 2 / (n alpha + 1)."""
     denom = n * alpha + 1.0
     if denom == 0.0:
-        raise DegenerateExponent(f"n*alpha + 1 = 0 for n={n}, alpha={alpha}")
+        raise InvalidParams(f"n*alpha + 1 = 0 for n={n}, alpha={alpha}")
     return 2.0 / denom
 
 
@@ -82,7 +82,7 @@ def alpha_from_beta(n: float, beta: float) -> float:
     """
     denom = 2.0 - n
     if denom == 0.0:
-        raise DegenerateExponent(f"degenerate denominator for n={n}, beta={beta}")
+        raise InvalidParams(f"degenerate denominator for n={n}, beta={beta}")
     return (2.0 * beta + 1.0) / denom
 
 
@@ -108,7 +108,7 @@ def check_invariance(exps: SimilarityExponents) -> list[float]:
 
 def _check_time(t: float) -> None:
     if not 0.0 < t < math.inf:
-        raise NonPositiveTime(f"t must be positive and finite, got {t}")
+        raise InvalidParams(f"t must be positive and finite, got {t}")
 
 
 def reconstruct_physical(profile: SolutionProfile, exps: SimilarityExponents,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from itmfree import cli
 from itmfree.cli import main
@@ -52,6 +55,7 @@ def test_spread_json(capsys):
     report = json.loads(out)
     assert report["result"]["U0"] == pytest.approx(0.7518473, abs=1e-6)
     assert report["result"]["eta_w"] == pytest.approx(1.0, abs=1e-6)
+    assert abs(report["result"]["dw0"]) <= 1e-9  # U'(0) = 0, not V'(0) = 1
     assert report["references"]["exact_eta_w"] == 1.0
 
 
@@ -281,6 +285,8 @@ def test_unread_flags_are_rejected(capsys, argv):
     (["stefan", "--S", "inf"], "S must be positive and finite, got inf"),
     (["spread", "--H", "1e200"], "H^3 must be a finite nonzero float, got H = 1e+200"),
     (["spread", "--H", "1e-200"], "H^3 must be a finite nonzero float, got H = 1e-200"),
+    # every rejected input is exit 3, a degenerate exponent too
+    (["check-invariance", "--n", "1", "--alpha", "-1"], "n*alpha + 1 = 0 for n=1.0, alpha=-1.0"),
 ])
 def test_non_finite_params_rejected(capsys, argv, message):
     code, out, err = run(capsys, argv)
@@ -301,6 +307,68 @@ def test_overflowing_start_state_is_singular(capsys, argv):
     assert result["iterations"] == 0 and result["h_star"] == float(argv[-3])
     assert result["abscissa"] == 0.5  # s*: the start state itself is not finite
     assert err == f"error: solve did not converge: singular_integration: {result['message']}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["stefan", "--S", "1", "--h0", "1e-290", "--h1", "1e-280", "--max-iter", "1"],
+    ["stefan", "--S", "1e-300", "--max-iter", "1", "--step", "0.05"],
+])
+def test_overflowing_recovery_exits_2_with_a_report(capsys, argv):
+    # omega^(delta - 1) overflows for the tiny omega of the last iterate
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert code == 2
+    result = json.loads(out)["result"]
+    assert result["status"] == "max_iter_exceeded"
+    assert result["dw0"] == -math.inf and result["w0"] == 1.0
+    assert err == "error: solve did not converge: max_iter_exceeded\n"
+
+
+# Numeric flags per subcommand. --step and --s-star are held fixed: the step
+# count s*/step is work the caller asks for, and could be about 1e300.
+_FUZZ_FLAGS = {
+    "stefan": ("--S", "--h0", "--h1", "--tol"),
+    "spread": ("--H", "--L", "--h0", "--h1", "--tol"),
+    "table stefan": ("--tol",),
+    "table spread": ("--tol",),
+    "profile": ("--S", "--H", "--L", "--h0", "--h1", "--tol"),
+    "reconstruct": ("--S", "--H", "--L", "--t", "--h0", "--h1", "--tol"),
+    "check-invariance": ("--n", "--alpha", "--beta", "--gamma", "--coefficient"),
+}
+_REQUIRED = {"--t", "--n", "--alpha"}
+_FLOATS = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300, -1e-300,
+                     5e-324, -5e-324, 1e-310, 0.0, -0.0, 1.0, -1.0]),
+    st.floats(),  # includes the subnormals, +-inf and nan
+)
+
+
+@st.composite
+def _fuzz_argv(draw, command):
+    argv = command.split()
+    for flag in _FUZZ_FLAGS[command]:
+        if flag in _REQUIRED or draw(st.booleans()):
+            argv.append(f"{flag}={draw(_FLOATS)!r}")  # "=": "-1e-300" is not an option
+    if command != "check-invariance":
+        argv.append(f"--max-iter={draw(st.sampled_from([0, 1, 3]))}")
+    if command in ("stefan", "spread", "profile", "reconstruct"):
+        argv.append("--step=0.05")
+    if command in ("profile", "reconstruct"):
+        argv.append(f"--points={draw(st.sampled_from([-1, 0, 1, 5]))}")
+        argv.append(f"--problem={draw(st.sampled_from(['stefan', 'spread']))}")
+    if command in ("stefan", "spread", "check-invariance"):
+        argv.append(f"--format={draw(st.sampled_from(['table', 'csv', 'json']))}")
+    return argv
+
+
+@example(argv=["stefan", "--S=1.0", "--h0=1e-290", "--h1=1e-280", "--max-iter=1"])
+@example(argv=["stefan", "--S=1e-300", "--max-iter=1", "--step=0.05"])
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=st.sampled_from(list(_FUZZ_FLAGS)).flatmap(_fuzz_argv))
+def test_every_float_input_exits_with_a_known_code(argv):
+    # in-process, so an escaping exception fails the test instead of exiting 1
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from itmfree.errors import InvalidParams, OmegaNonPositive
+from itmfree.errors import InvalidParams
 from itmfree.itm import (
     ExtendedScaling,
     ItmConfig,
@@ -16,7 +16,9 @@ from itmfree.itm import (
     secant_solve,
 )
 from itmfree.ivp import State2
-from itmfree.problems import SpreadingParams, StefanParams, make_spreading, make_stefan
+from itmfree.problems import (SpreadingParams, StefanParams, make_spreading, make_stefan,
+                              stefan_default_guesses)
+from itmfree.reference import exact_spreading
 
 # Gamma values for the spreading problem (H = 1/2, L = -1/2) at the
 # tabulated starting guesses, frozen from two independent integrations
@@ -36,8 +38,6 @@ def constant_problem(boundary_value):
         rhs=lambda z, w, dw: 0.0,
         origin_condition=lambda w, dw: w,
         origin_constant=1.0,
-        boundary_value=lambda s: boundary_value(1.0),
-        boundary_slope=lambda s: 0.0,
         extended_rhs=lambda h, z, w, dw: 0.0,
         extended_boundary_value=lambda h, s: boundary_value(h),
         extended_boundary_slope=lambda h, s: 0.0,
@@ -102,8 +102,59 @@ def test_recover_values_spreading_scaling():
 
 def test_recover_values_rejects_nonpositive_omega():
     scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
-    with pytest.raises(OmegaNonPositive):
-        recover_values(0.0, scaling, State2(1.0, 1.0), 1.0)
+    # an argument check: only evaluate_gamma raises OmegaNonPositive
+    for omega in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidParams, match=f"omega must be positive, got {omega}"):
+            recover_values(omega, scaling, State2(1.0, 1.0), 1.0)
+
+
+def test_recover_values_maps_an_overflowing_power_to_inf():
+    # omega^(delta - 1) = (1e-300)^(-2) is beyond the float range: inf, not OverflowError
+    scaling = ExtendedScaling(delta=-1.0, sigma=4.0, origin_weight=1.0)
+    s, w0, dw0 = recover_values(1e-300, scaling, State2(1e-300, -3.0), 0.5)
+    assert (s, w0, dw0) == (1e-300 * 0.5, 1.0, -math.inf)
+    s, w0, dw0 = recover_values(1e-300, scaling, State2(1e-300, 0.0), 0.5)
+    assert math.isnan(dw0)  # inf * 0
+
+
+@pytest.mark.parametrize("S, h0, h1, step", [
+    (1.0, 1e-290, 1e-280, 1e-3),
+    (1e-300, None, None, 0.05),  # the default guesses
+])
+def test_overflowing_recovery_keeps_its_status(S, h0, h1, step):
+    # the last iterate's omega is tiny, so omega^(delta - 1) = omega^-2 overflows
+    problem, scaling = make_stefan(StefanParams(S=S))
+    if h0 is None:
+        h0, h1 = stefan_default_guesses(S)
+    result = secant_solve(problem, scaling,
+                          ItmConfig(s_star=0.5, step=step, h0=h0, h1=h1, max_iter=1))
+    assert result.status is ItmStatus.MAX_ITER_EXCEEDED
+    assert result.dw0 == -math.inf and result.w0 == 1.0
+    assert 0.0 < result.omega < 1e-100
+
+
+def test_converged_spreading_reports_the_original_slope(spreading_problem):
+    # w0 and dw0 are U(0) and U'(0), not the shifted V(0) = U(0), V'(0) = U'(0) + 1
+    problem, scaling = spreading_problem
+    for s_star in (0.5, 1.0):
+        result = secant_solve(problem, scaling, ItmConfig(s_star=s_star, step=5e-4, h0=0.5, h1=0.1))
+        assert result.converged
+        assert abs(result.dw0) <= 1e-9
+        assert result.w0 == pytest.approx((17.0 / 40.0) ** (1.0 / 3.0), abs=1e-8)
+
+
+def test_root_at_a_burn_in_guess_needs_both_stopping_clauses():
+    # With H = 1000 the slope L/(5 H^3) vanishes against the shift's 1, and
+    # Gamma(h0) is within tol of 0 although s(h0) = 0.7071 is far from the
+    # front -L/H = 5e-4. Only the two-clause test stops the secant, and it
+    # goes on to the true front.
+    problem, scaling = make_spreading(SpreadingParams(H=1000.0, L=-0.5))
+    config = ItmConfig(s_star=0.5, step=5e-4, h0=0.5, h1=0.1)
+    assert abs(evaluate_gamma(problem, scaling, 0.5, config)[0]) <= config.tol
+    result = secant_solve(problem, scaling, config)
+    assert result.converged
+    assert result.s == pytest.approx(5e-4, abs=1e-6)
+    assert result.w0 == pytest.approx(exact_spreading(0.0, 1000.0, -0.5).w, rel=1e-9)
 
 
 def test_origin_constant_and_weight_must_be_finite_and_nonzero():
@@ -153,9 +204,11 @@ def test_root_handed_in_returns_h0(stefan_s1):
     root = stefan_s1.h_star
     config = ItmConfig(s_star=0.5, step=1e-3, h0=root, h1=30.0)
     result = secant_solve(problem, scaling, config)
+    # no special case for a root at h0: the two-clause test needs Gamma small
+    # at the last iterate and s settled between the last two
     assert result.converged
     assert result.h_star == root
-    assert len(result.trace) == 2  # only the burn-in pair was evaluated
+    assert len(result.trace) == 4
 
 
 def test_original_problem_residual(stefan_s1):
@@ -172,8 +225,9 @@ def test_extended_degeneracy_at_h1(spreading_problem):
     for z in zs:
         y = State2(1.3 + 0.2 * z, 0.4)
         assert problem.extended_rhs(1.0, z, *y) == problem.rhs(z, *y)
-        assert problem.extended_boundary_value(1.0, z) == problem.boundary_value(z)
-        assert problem.extended_boundary_slope(1.0, z) == problem.boundary_slope(z)
+        # V(s) = H + s and V'(s) = L/(5 H^3) + 1 at h = 1
+        assert problem.extended_boundary_value(1.0, z) == 0.5 + z
+        assert problem.extended_boundary_slope(1.0, z) == -0.5 / (5.0 * 0.5 ** 3) + 1.0
 
 
 def test_secant_breakdown():
@@ -235,20 +289,18 @@ def test_sign_flipped_root_is_omega_non_positive(H, L):
 
 
 def test_config_validation():
-    problem, scaling = make_stefan(StefanParams(S=1.0))
-    with pytest.raises(InvalidParams):
-        secant_solve(problem, scaling, ItmConfig(s_star=-0.5, step=1e-3, h0=1.0, h1=2.0))
-    with pytest.raises(InvalidParams):
-        secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=1.0, h1=1.0))
-    with pytest.raises(InvalidParams):
-        # guesses must be positive: the secant steps in log h*
-        secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=-1.0, h1=2.0))
-    with pytest.raises(InvalidParams):
-        secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=1.0, h1=2.0,
-                                                 tol=math.nan))
-    with pytest.raises(InvalidParams):
-        # a step longer than s_star would be cut to one step of length s_star
-        secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=10.0, h0=30.0, h1=40.0))
+    # ItmConfig checks itself when it is built, so secant_solve never raises
+    for kwargs in (
+        dict(s_star=-0.5),
+        dict(s_star=math.inf, step=1.0),
+        dict(h0=1.0, h1=1.0),
+        dict(h0=-1.0),  # guesses must be positive: the secant steps in log h*
+        dict(tol=math.nan),
+        dict(step=10.0),  # a step longer than s_star would be one step of length s_star
+        dict(s_star=1e300, step=1e-10),  # s_star/step overflows: no finite step count
+    ):
+        with pytest.raises(InvalidParams):
+            ItmConfig(**{**dict(s_star=0.5, step=1e-3, h0=1.0, h1=2.0), **kwargs})
 
 
 def test_trace_indices_and_s_positive(stefan_s1):

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from itmfree.errors import SingularRhs
-from itmfree.ivp import State2, integrate_inward, steps_for_interval
+from itmfree.errors import InvalidParams, SingularRhs
+from itmfree.ivp import State2, integrate_inward
 from itmfree.ivp import _rk4
 from itmfree.problems import SpreadingParams, StefanParams, make_spreading, make_stefan
 
@@ -135,22 +135,14 @@ def test_determinism():
 
 def test_direction_and_step_validation():
     rhs = lambda z, w, dw: 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match="inward integration requires z_end < z_start"):
         integrate_inward(rhs, 0.0, State2(0.0, 1.0), 1.0, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams, match="n_steps must be >= 1"):
         integrate_inward(rhs, 1.0, State2(0.0, 1.0), 0.0, 0)
     for start in (State2(float("inf"), 1.0), State2(0.0, float("nan"))):
         with pytest.raises(SingularRhs) as exc:
             integrate_inward(rhs, 1.0, start, 0.0, 10)
         assert exc.value.abscissa == 1.0
-
-
-def test_steps_for_interval():
-    assert steps_for_interval(0.5, 0.0, 1e-3) == 500
-    assert steps_for_interval(1.0, 0.0, 5e-4) == 2000
-    assert steps_for_interval(0.5, 0.0, 0.4) == 1
-    with pytest.raises(ValueError):
-        steps_for_interval(0.5, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("make, params, h_star, n_steps", [
@@ -171,7 +163,8 @@ def test_matches_reference_rk4_bit_for_bit(make, params, h_star, n_steps):
 
 def test_recorded_profile_matches_reference_rk4_bit_for_bit():
     problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
-    start = State2(problem.boundary_value(1.0), problem.boundary_slope(1.0))
+    start = State2(problem.extended_boundary_value(1.0, 1.0),
+                   problem.extended_boundary_slope(1.0, 1.0))
     expected_end, expected = _reference_rk4(problem.rhs, 1.0, start, 0.0, 200)
     res = integrate_inward(problem.rhs, 1.0, start, 0.0, 200, record_profile=True)
     assert res.endpoint == expected_end

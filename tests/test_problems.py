@@ -41,23 +41,24 @@ def test_stefan_extended_degenerates_at_h1():
     y = State2(0.3, 0.7)
     for z in np.linspace(0.0, 1.5, 11):
         assert problem.extended_rhs(1.0, z, *y) == problem.rhs(z, *y)
-    assert problem.extended_boundary_value(1.0, 0.8) == problem.boundary_value(0.8)
-    assert problem.extended_boundary_slope(1.0, 0.8) == pytest.approx(
-        problem.boundary_slope(0.8), rel=1e-15)
+    # at h = 1 the boundary data are the original U(eta_w) = 0, U'(eta_w) = -(S/2) eta_w
+    assert problem.extended_boundary_value(1.0, 0.8) == 0.0
+    assert problem.extended_boundary_slope(1.0, 0.8) == -0.5 * 2.0 * 0.8
 
 
 def test_spreading_extended_degenerates_at_h1():
     problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
     y = State2(0.3 + 0.7, -0.5 + 1.0)  # shifted variables at eta = 0.7
     assert problem.extended_rhs(1.0, 0.7, *y) == problem.rhs(0.7, *y)
-    assert problem.extended_boundary_value(1.0, 0.7) == problem.boundary_value(0.7)
-    assert problem.extended_boundary_slope(1.0, 0.7) == problem.boundary_slope(0.7)
+    # at h = 1 the boundary data are V(s) = H + s and V'(s) = L/(5 H^3) + 1
+    assert problem.extended_boundary_value(1.0, 0.7) == 0.5 + 0.7
+    assert problem.extended_boundary_slope(1.0, 0.7) == -0.5 / (5.0 * 0.5 ** 3) + 1.0
 
 
 def test_spreading_boundary_slope_value():
     # L/(5 H^3) = -0.5/0.625 = -4/5; the shifted slope adds 1
     problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
-    assert problem.boundary_slope(1.0) == pytest.approx(0.2, rel=1e-14)
+    assert problem.extended_boundary_slope(1.0, 1.0) == pytest.approx(0.2, rel=1e-14)
     assert problem.to_original(1.0, 1.5, 0.2) == (0.5, -0.8)
 
 

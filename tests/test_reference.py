@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from itmfree.errors import DomainError, InvalidParams, NotTabulated
+from itmfree.errors import InvalidParams
 from itmfree.reference import (
     ASYMPTOTIC_ETA_W,
     asymptotic_eta_w,
@@ -106,11 +106,11 @@ def test_neumann_profile_endpoints():
 
 
 def test_neumann_profile_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidParams, match="outside"):
         neumann_profile(-0.1, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidParams, match="outside"):
         neumann_profile(1.1, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidParams, match="outside"):
         neumann_profile(0.0, 0.0)
 
 
@@ -163,9 +163,9 @@ def test_exact_spreading_rejects_parameters_without_closed_form():
 
 
 def test_exact_spreading_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidParams, match="outside"):
         exact_spreading(-1e-9)
-    with pytest.raises(DomainError):
+    with pytest.raises(InvalidParams, match="outside"):
         exact_spreading(1.0 + 1e-9)
 
 
@@ -173,5 +173,5 @@ def test_asymptotic_lookup():
     assert asymptotic_eta_w(1.0) == 1.240161
     assert asymptotic_eta_w(50.0) == 0.199499
     assert set(ASYMPTOTIC_ETA_W) == {0.1, 0.5, 1.0, 5.0, 10.0, 50.0}
-    with pytest.raises(NotTabulated):
+    with pytest.raises(InvalidParams, match="no asymptotic value stored for S = 2.0"):
         asymptotic_eta_w(2.0)

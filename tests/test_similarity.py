@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from itmfree.errors import DegenerateExponent, NonPositiveTime
+from itmfree.errors import InvalidParams
 from itmfree.ivp import SolutionProfile
 from itmfree.problems import spreading_exponents, stefan_exponents
 from itmfree.similarity import (
@@ -29,7 +29,7 @@ def test_gamma_from_alpha(n, alpha, expected):
 
 
 def test_gamma_from_alpha_degenerate():
-    with pytest.raises(DegenerateExponent):
+    with pytest.raises(InvalidParams, match=r"n\*alpha \+ 1 = 0 for n=2.0, alpha=-0.5"):
         gamma_from_alpha(2.0, -0.5)
 
 
@@ -52,7 +52,7 @@ def test_alpha_from_beta_zeroes_origin_residual(n, beta):
 
 
 def test_alpha_from_beta_degenerate():
-    with pytest.raises(DegenerateExponent):
+    with pytest.raises(InvalidParams, match="degenerate denominator for n=2.0, beta=0.0"):
         alpha_from_beta(2.0, 0.0)  # 2 - n = 0
 
 
@@ -123,13 +123,13 @@ def test_reconstruct_spreading():
 
 
 def test_reconstruct_rejects_nonpositive_time():
-    with pytest.raises(NonPositiveTime):
+    with pytest.raises(InvalidParams, match="t must be positive and finite"):
         reconstruct_physical(_sample_profile(), stefan_exponents(), 1.0, 0.0)
-    with pytest.raises(NonPositiveTime):
+    with pytest.raises(InvalidParams, match="t must be positive and finite"):
         reconstruct_physical(_sample_profile(), stefan_exponents(), 1.0, -2.0)
-    with pytest.raises(NonPositiveTime):
+    with pytest.raises(InvalidParams, match="t must be positive and finite"):
         reconstruct_physical(_sample_profile(), stefan_exponents(), 1.0, math.nan)
-    with pytest.raises(NonPositiveTime):
+    with pytest.raises(InvalidParams, match="t must be positive and finite"):
         reconstruct_physical(_sample_profile(), stefan_exponents(), 1.0, math.inf)
 
 
@@ -165,5 +165,5 @@ def test_height_at_origin():
     assert height_at_origin(exps, U0=0.7, t=1.0) == pytest.approx(0.7)
     assert height_at_origin(exps, U0=0.751847, t=32.0) == pytest.approx(0.3759235, abs=1e-7)
     assert height_at_origin(stefan_exponents(), U0=1.0, t=123.0) == pytest.approx(1.0)
-    with pytest.raises(NonPositiveTime):
+    with pytest.raises(InvalidParams, match="t must be positive and finite"):
         height_at_origin(exps, U0=1.0, t=0.0)
