@@ -29,7 +29,7 @@ from .itm import ItmConfig, ItmResult, ItmStatus, original_profile, secant_solve
 from .problems import (STEFAN_GUESSES, SpreadingParams, StefanParams, make_spreading,
                        make_stefan, spreading_exponents, stefan_default_guesses,
                        stefan_exponents)
-from .reference import asymptotic_eta_w, exact_spreading, neumann_eta_w
+from .reference import ASYMPTOTIC_ETA_W, asymptotic_eta_w, exact_spreading, neumann_eta_w
 from .similarity import (OriginKind, SimilarityExponents, check_invariance,
                          gamma_from_alpha, reconstruct_physical)
 
@@ -70,7 +70,7 @@ class ProblemSpec:
 def _stefan_references(p: dict[str, float], result: ItmResult) -> dict[str, float]:
     root = neumann_eta_w(p["S"])
     refs = {"neumann_eta_w": root, "delta_neumann": result.s - root}
-    if p["S"] in STEFAN_GUESSES:
+    if p["S"] in ASYMPTOTIC_ETA_W:
         asym = asymptotic_eta_w(p["S"])
         refs.update(asymptotic_eta_w=asym, delta_asymptotic=result.s - asym)
     return refs

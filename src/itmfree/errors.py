@@ -6,6 +6,8 @@ when a Gamma evaluation cannot recover omega. ``secant_solve`` turns the last
 two into statuses.
 """
 
+__all__ = ["ItmFreeError", "InvalidParams", "SingularRhs", "OmegaNonPositive"]
+
 
 class ItmFreeError(Exception):
     """Base class for all errors raised by this package."""

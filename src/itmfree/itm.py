@@ -71,25 +71,25 @@ def _power(base: float, exponent: float) -> float:
 class ReducedFreeBvp:
     """A second-order free boundary problem plus its extended embedding.
 
-    ``rhs(z, w, dw)`` returns w'' for the original problem;
-    ``extended_rhs(h, z, w, dw)`` must equal it at h = 1.
-    ``extended_boundary_value(h, s)`` and ``extended_boundary_slope(h, s)``
-    give w(s) and w'(s) of the extended problem; at h = 1 they are the
-    original free-boundary conditions. ``origin_condition(w, dw)`` is g in
-    g(w(0), w'(0)) = C, and C is ``origin_constant``, finite and nonzero: a
-    homogeneous condition must be shifted first. ``to_original(eta, w, dw)``
-    returns (u, du), undoing that shift (identity when no shift was needed).
+    ``extended_rhs(h, z, w, dw)`` returns w'' of the extended problem and
+    ``extended_boundary(h, s)`` returns (w(s), w'(s)); at h = 1 they are the
+    original problem, so ``rhs(z, w, dw)`` defaults to ``extended_rhs`` at
+    h = 1. ``origin_condition(w, dw)`` is g in g(w(0), w'(0)) = C, and C is
+    ``origin_constant``, finite and nonzero: a homogeneous condition must be
+    shifted first. ``to_original(eta, w, dw)`` returns (u, du), undoing that
+    shift (identity when no shift was needed).
     """
 
-    rhs: Callable[[float, float, float], float]
     origin_condition: Callable[[float, float], float]
     origin_constant: float
     extended_rhs: Callable[[float, float, float, float], float]
-    extended_boundary_value: Callable[[float, float], float]
-    extended_boundary_slope: Callable[[float, float], float]
+    extended_boundary: Callable[[float, float], tuple[float, float]]
     to_original: Callable[[float, float, float], tuple[float, float]] = _identity_output
+    rhs: Optional[Callable[[float, float, float], float]] = None
 
     def __post_init__(self) -> None:
+        if self.rhs is None:
+            object.__setattr__(self, "rhs", functools.partial(self.extended_rhs, 1.0))
         _require_finite_nonzero("origin constant", self.origin_constant)
 
 
@@ -190,10 +190,7 @@ def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     range.
     """
     s_star = config.s_star
-    y_start = State2(
-        problem.extended_boundary_value(h_star, s_star),
-        problem.extended_boundary_slope(h_star, s_star),
-    )
+    y_start = State2(*problem.extended_boundary(h_star, s_star))
     # ItmConfig keeps 0 < step <= s* and s*/step finite, so this is at least 1
     n_steps = round(s_star / config.step)
     res = integrate_inward(functools.partial(problem.extended_rhs, h_star),
@@ -233,8 +230,7 @@ def original_profile(problem: ReducedFreeBvp, s: float, n_steps: int) -> Solutio
     profile is in the original, un-shifted variables and ordered by
     increasing abscissa.
     """
-    y_start = State2(problem.extended_boundary_value(1.0, s),
-                     problem.extended_boundary_slope(1.0, s))
+    y_start = State2(*problem.extended_boundary(1.0, s))
     prof = integrate_inward(problem.rhs, s, y_start, 0.0, n_steps, record_profile=True).profile
     eta = prof.eta[::-1]
     u, du = zip(*map(problem.to_original, eta, prof.u[::-1], prof.du[::-1]))

@@ -5,7 +5,6 @@ paired with its extended scaling group.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -92,19 +91,14 @@ def make_stefan(params: StefanParams) -> tuple[ReducedFreeBvp, ExtendedScaling]:
     """
     S = params.S
 
-    def rhs(z: float, w: float, dw: float) -> float:
-        return -0.5 * z * dw
-
     def extended_rhs(h: float, z: float, w: float, dw: float) -> float:
         return -0.5 * math.sqrt(h) * z * dw
 
     problem = ReducedFreeBvp(
-        rhs=rhs,
         origin_condition=lambda w, dw: w,
         origin_constant=1.0,
         extended_rhs=extended_rhs,
-        extended_boundary_value=lambda h, s: 0.0,
-        extended_boundary_slope=lambda h, s: -0.5 * h ** 0.75 * S * s,
+        extended_boundary=lambda h, s: (0.0, -0.5 * h ** 0.75 * S * s),
     )
     return problem, ExtendedScaling(delta=-1.0, sigma=4.0, origin_weight=1.0)
 
@@ -133,12 +127,10 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
         return -3.0 * du * du / u - c * z * du / u ** 3 - c / u ** 2
 
     problem = ReducedFreeBvp(
-        rhs=functools.partial(shifted_terms, 1.0),
         origin_condition=lambda w, dw: dw,
         origin_constant=1.0,
         extended_rhs=shifted_terms,
-        extended_boundary_value=lambda h, s: h * H + math.sqrt(h) * s,
-        extended_boundary_slope=lambda h, s: math.sqrt(h) * slope,
+        extended_boundary=lambda h, s: (h * H + math.sqrt(h) * s, math.sqrt(h) * slope),
         to_original=lambda eta, w, dw: (w - eta, dw - 1.0),
     )
     return problem, ExtendedScaling(delta=0.5, sigma=1.0, origin_weight=0.5)
@@ -148,12 +140,16 @@ def stefan_default_guesses(S: float) -> tuple[float, float]:
     """Secant starting pair for a given S.
 
     Tabulated values reproduce the reference runs; otherwise the pair is
-    scaled from a closed-form estimate of the front position.
+    scaled from a closed-form estimate of the front position. Raises
+    InvalidParams when that estimate of h* underflows.
     """
     if S in STEFAN_GUESSES:
         return STEFAN_GUESSES[S]
     # eta_w ~ 2 sqrt(ln(1 + 1/(sqrt(pi) S))): exact to ~6% for large S and a
-    # mild overestimate for small S; converted via omega = eta_w / s*, s* = 1/2
-    lam = math.sqrt(math.log(1.0 + 1.0 / (math.sqrt(math.pi) * S)))
+    # mild overestimate for small S; converted via omega = eta_w / s*, s* = 1/2.
+    # log1p: for S > ~6e15, 1 + 1/(sqrt(pi) S) rounds to 1
+    lam = math.sqrt(math.log1p(1.0 / (math.sqrt(math.pi) * S)))
     h_est = (4.0 * lam) ** 4
+    if not 0.5 * h_est > 0.0:
+        raise InvalidParams(f"the estimated root h* = {h_est!r} underflows for S = {S!r}")
     return h_est, 0.5 * h_est

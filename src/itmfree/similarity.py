@@ -30,8 +30,6 @@ __all__ = [
     "alpha_from_beta",
     "check_invariance",
     "reconstruct_physical",
-    "flux_at_origin",
-    "height_at_origin",
 ]
 
 
@@ -106,11 +104,6 @@ def check_invariance(exps: SimilarityExponents) -> list[float]:
     return [pde, origin]
 
 
-def _check_time(t: float) -> None:
-    if not 0.0 < t < math.inf:
-        raise InvalidParams(f"t must be positive and finite, got {t}")
-
-
 def reconstruct_physical(profile: SolutionProfile, exps: SimilarityExponents,
                          eta_w: float, t: float) -> PhysicalProfile:
     """Map a similarity profile back to physical variables at time t.
@@ -118,7 +111,8 @@ def reconstruct_physical(profile: SolutionProfile, exps: SimilarityExponents,
     x = eta t^(1/gamma), u = t^alpha U(eta), du/dx = t^(alpha - 1/gamma) U'(eta),
     and x_w = eta_w t^(1/gamma).
     """
-    _check_time(t)
+    if not 0.0 < t < math.inf:
+        raise InvalidParams(f"t must be positive and finite, got {t}")
     tg = t ** (1.0 / exps.gamma)
     ta = t ** exps.alpha
     tslope = ta / tg
@@ -129,16 +123,3 @@ def reconstruct_physical(profile: SolutionProfile, exps: SimilarityExponents,
         du_dx=tuple(du * tslope for du in profile.du),
         x_w=eta_w * tg,
     )
-
-
-def flux_at_origin(exps: SimilarityExponents, U0: float, dU0: float, t: float) -> float:
-    """Flux u^n u_x at x = 0: B t^(beta (n+1)) U(0)^n U'(0)."""
-    _check_time(t)
-    beta = exps.beta if exps.beta is not None else 0.0
-    return exps.coefficient * t ** (beta * (exps.n + 1.0)) * U0 ** exps.n * dU0
-
-
-def height_at_origin(exps: SimilarityExponents, U0: float, t: float) -> float:
-    """Field value at x = 0: t^alpha U(0)."""
-    _check_time(t)
-    return t ** exps.alpha * U0

@@ -287,6 +287,8 @@ def test_unread_flags_are_rejected(capsys, argv):
     (["spread", "--H", "1e-200"], "H^3 must be a finite nonzero float, got H = 1e-200"),
     # every rejected input is exit 3, a degenerate exponent too
     (["check-invariance", "--n", "1", "--alpha", "-1"], "n*alpha + 1 = 0 for n=1.0, alpha=-1.0"),
+    # the default guesses would be 0: say so, not that h0 and h1 coincide
+    (["stefan", "--S", "1e300"], "the estimated root h* = 0.0 underflows for S = 1e+300"),
 ])
 def test_non_finite_params_rejected(capsys, argv, message):
     code, out, err = run(capsys, argv)

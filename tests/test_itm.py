@@ -35,12 +35,10 @@ def constant_problem(boundary_value):
     """w'' = 0 and w' = 0, so w*(0) = boundary_value(h*) exactly and, with
     g = w, C = 1 and weight 1, omega = boundary_value(h*)."""
     return ReducedFreeBvp(
-        rhs=lambda z, w, dw: 0.0,
         origin_condition=lambda w, dw: w,
         origin_constant=1.0,
         extended_rhs=lambda h, z, w, dw: 0.0,
-        extended_boundary_value=lambda h, s: boundary_value(h),
-        extended_boundary_slope=lambda h, s: 0.0,
+        extended_boundary=lambda h, s: (boundary_value(h), 0.0),
     )
 
 
@@ -224,10 +222,12 @@ def test_extended_degeneracy_at_h1(spreading_problem):
     zs = np.linspace(0.05, 1.0, 20)
     for z in zs:
         y = State2(1.3 + 0.2 * z, 0.4)
-        assert problem.extended_rhs(1.0, z, *y) == problem.rhs(z, *y)
+        # the original RHS is the extended one at h = 1, unless one is given
+        assert problem.rhs(z, *y) == problem.extended_rhs(1.0, z, *y)
         # V(s) = H + s and V'(s) = L/(5 H^3) + 1 at h = 1
-        assert problem.extended_boundary_value(1.0, z) == 0.5 + z
-        assert problem.extended_boundary_slope(1.0, z) == -0.5 / (5.0 * 0.5 ** 3) + 1.0
+        assert problem.extended_boundary(1.0, z) == (0.5 + z, -0.5 / (5.0 * 0.5 ** 3) + 1.0)
+    given = dataclasses.replace(problem, rhs=lambda z, w, dw: 7.0)
+    assert given.rhs(0.5, 1.0, 1.0) == 7.0
 
 
 def test_secant_breakdown():

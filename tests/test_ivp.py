@@ -152,8 +152,7 @@ def test_direction_and_step_validation():
 def test_matches_reference_rk4_bit_for_bit(make, params, h_star, n_steps):
     # the extended problems as evaluate_gamma integrates them, from s* = 0.5
     problem, _ = make(params)
-    start = State2(problem.extended_boundary_value(h_star, 0.5),
-                   problem.extended_boundary_slope(h_star, 0.5))
+    start = State2(*problem.extended_boundary(h_star, 0.5))
     rhs = functools.partial(problem.extended_rhs, h_star)
     expected_end, expected = _reference_rk4(rhs, 0.5, start, 0.0, n_steps)
     res = integrate_inward(rhs, 0.5, start, 0.0, n_steps, record_profile=True)
@@ -163,8 +162,7 @@ def test_matches_reference_rk4_bit_for_bit(make, params, h_star, n_steps):
 
 def test_recorded_profile_matches_reference_rk4_bit_for_bit():
     problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
-    start = State2(problem.extended_boundary_value(1.0, 1.0),
-                   problem.extended_boundary_slope(1.0, 1.0))
+    start = State2(*problem.extended_boundary(1.0, 1.0))
     expected_end, expected = _reference_rk4(problem.rhs, 1.0, start, 0.0, 200)
     res = integrate_inward(problem.rhs, 1.0, start, 0.0, 200, record_profile=True)
     assert res.endpoint == expected_end

@@ -40,25 +40,27 @@ def test_stefan_extended_degenerates_at_h1():
     problem, _ = make_stefan(StefanParams(S=2.0))
     y = State2(0.3, 0.7)
     for z in np.linspace(0.0, 1.5, 11):
-        assert problem.extended_rhs(1.0, z, *y) == problem.rhs(z, *y)
+        # the RHS derived at h = 1 is the original U'' = -(1/2) eta U', bit for bit
+        assert problem.rhs(z, *y) == -0.5 * z * y.dw
     # at h = 1 the boundary data are the original U(eta_w) = 0, U'(eta_w) = -(S/2) eta_w
-    assert problem.extended_boundary_value(1.0, 0.8) == 0.0
-    assert problem.extended_boundary_slope(1.0, 0.8) == -0.5 * 2.0 * 0.8
+    assert problem.extended_boundary(1.0, 0.8) == (0.0, -0.5 * 2.0 * 0.8)
 
 
 def test_spreading_extended_degenerates_at_h1():
     problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
     y = State2(0.3 + 0.7, -0.5 + 1.0)  # shifted variables at eta = 0.7
-    assert problem.extended_rhs(1.0, 0.7, *y) == problem.rhs(0.7, *y)
+    # U'' = -3 U'^2/U - eta U'/(5 U^3) - 1/(5 U^2) at U = 0.3, U' = -0.5
+    u, du = 0.3, -0.5
+    expected = -3.0 * du * du / u - 0.7 * du / (5.0 * u ** 3) - 1.0 / (5.0 * u ** 2)
+    assert problem.rhs(0.7, *y) == pytest.approx(expected, rel=1e-12)
     # at h = 1 the boundary data are V(s) = H + s and V'(s) = L/(5 H^3) + 1
-    assert problem.extended_boundary_value(1.0, 0.7) == 0.5 + 0.7
-    assert problem.extended_boundary_slope(1.0, 0.7) == -0.5 / (5.0 * 0.5 ** 3) + 1.0
+    assert problem.extended_boundary(1.0, 0.7) == (0.5 + 0.7, -0.5 / (5.0 * 0.5 ** 3) + 1.0)
 
 
 def test_spreading_boundary_slope_value():
     # L/(5 H^3) = -0.5/0.625 = -4/5; the shifted slope adds 1
     problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
-    assert problem.extended_boundary_slope(1.0, 1.0) == pytest.approx(0.2, rel=1e-14)
+    assert problem.extended_boundary(1.0, 1.0)[1] == pytest.approx(0.2, rel=1e-14)
     assert problem.to_original(1.0, 1.5, 0.2) == (0.5, -0.8)
 
 
@@ -143,6 +145,16 @@ def test_default_guesses_untabulated_converge(S):
     result = secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1))
     assert result.converged
     assert result.s == pytest.approx(neumann_eta_w(S), abs=1e-5)
+
+
+@pytest.mark.parametrize("S", [1e16, 1e100])
+def test_default_guesses_for_large_S_converge(S):
+    # 1/(sqrt(pi) S) is below the float spacing at 1: log(1 + x) would be 0
+    problem, scaling = make_stefan(StefanParams(S=S))
+    h0, h1 = stefan_default_guesses(S)
+    result = secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1))
+    assert result.converged
+    assert result.s == pytest.approx(neumann_eta_w(S), rel=1e-9)
 
 
 @pytest.mark.parametrize("k", range(-30, 31))

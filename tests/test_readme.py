@@ -1,9 +1,15 @@
-"""The README's library quick start runs and prints the values its comments quote."""
+"""The README's examples run as written, and its plug-in list names every field."""
 
 import contextlib
+import dataclasses
 import io
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from itmfree import ReducedFreeBvp, cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +32,27 @@ def test_quick_start_prints_the_quoted_values():
         # the quoted figure is the printed value rounded to its last digit
         half_unit = 0.5 * 10.0 ** -len(figure.split(".")[1])
         assert abs(value - float(figure)) <= half_unit, (value, figure)
+
+
+def _cli_lines() -> list[str]:
+    section = README.read_text().split("## CLI", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line.split("#", 1)[0].strip() for line in block.splitlines()
+            if line.startswith("itmfree ")]
+
+
+def test_cli_block_is_found():
+    assert _cli_lines()  # an empty parametrization would pass unseen
+
+
+@pytest.mark.parametrize("line", _cli_lines())
+def test_cli_example_exits_0(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # `--out` writes here
+    assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+def test_plug_in_list_names_every_field():
+    section = README.read_text().split("New problems plug in through", 1)[1]
+    section = section.split("`ExtendedScaling` holds", 1)[0]
+    for f in dataclasses.fields(ReducedFreeBvp):
+        assert re.search(rf"`{f.name}[`(]", section), f.name

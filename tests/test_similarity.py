@@ -12,9 +12,7 @@ from itmfree.similarity import (
     SimilarityExponents,
     alpha_from_beta,
     check_invariance,
-    flux_at_origin,
     gamma_from_alpha,
-    height_at_origin,
     reconstruct_physical,
 )
 
@@ -146,24 +144,3 @@ def test_reconstruct_group_property(t, lam):
                                rtol=1e-12)
     assert a.x_w == pytest.approx(lam * b.x_w, rel=1e-12)
 
-
-def test_flux_at_origin():
-    exps = spreading_exponents()  # B = 0
-    assert flux_at_origin(exps, U0=0.75, dU0=0.1, t=3.0) == 0.0
-
-    flat = SimilarityExponents(n=0.0, alpha=0.0, gamma=2.0, coefficient=1.0,
-                               origin_kind=OriginKind.NEUMANN, beta=0.0)
-    assert flux_at_origin(flat, U0=5.0, dU0=2.0, t=7.0) == pytest.approx(2.0)
-
-    exps2 = SimilarityExponents(n=1.0, alpha=1.0, gamma=2.0 / 3.0, coefficient=2.0,
-                                origin_kind=OriginKind.NEUMANN, beta=1.0)
-    assert flux_at_origin(exps2, U0=3.0, dU0=1.0, t=2.0) == pytest.approx(24.0)
-
-
-def test_height_at_origin():
-    exps = spreading_exponents()
-    assert height_at_origin(exps, U0=0.7, t=1.0) == pytest.approx(0.7)
-    assert height_at_origin(exps, U0=0.751847, t=32.0) == pytest.approx(0.3759235, abs=1e-7)
-    assert height_at_origin(stefan_exponents(), U0=1.0, t=123.0) == pytest.approx(1.0)
-    with pytest.raises(InvalidParams, match="t must be positive and finite"):
-        height_at_origin(exps, U0=1.0, t=0.0)
