@@ -9,9 +9,11 @@ the similarity profile and for its physical-variable image at a given time;
 Every problem subcommand reads its flags, defaults and references from one
 ``ProblemSpec`` in ``PROBLEMS``. Commands return their exit code and output
 text; ``main`` alone writes it, so a failed run leaves ``--out`` untouched.
+Every output is a dict or a list of row dicts written by ``_emit``.
 
-Exit codes: 0 success, 2 non-convergence, 3 invalid parameters,
-4 singular integration; a solve that does not converge also says why on stderr.
+Exit codes: 0 success, 2 non-convergence, 3 invalid parameters or an
+``--out`` that cannot be opened, 4 singular integration; a solve that does
+not converge also says why on stderr.
 """
 
 from __future__ import annotations
@@ -122,17 +124,9 @@ PROBLEMS: dict[str, ProblemSpec] = {
 }
 
 
-def _g9(x: float) -> str:
-    """Machine-readable float: 9 significant digits."""
-    return format(x, ".9g")
-
-
-def _human(v: Any) -> str:
-    return format(v, ".6f") if isinstance(v, float) else str(v)
-
-
-def _csv_cell(v: Any) -> str:
-    return _g9(v) if isinstance(v, float) else str(v)
+def _cell(v: Any) -> str:
+    """The one float format of CSV and human output: 9 significant digits."""
+    return format(v, ".9g") if isinstance(v, float) else str(v)
 
 
 def _flatten(d: dict[str, Any], prefix: str = "") -> dict[str, Any]:
@@ -145,43 +139,37 @@ def _flatten(d: dict[str, Any], prefix: str = "") -> dict[str, Any]:
     return flat
 
 
-def _emit_report(report: dict[str, Any], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
-    if fmt == "csv":
-        flat = _flatten(report)
-        return ",".join(flat) + "\n" + ",".join(_csv_cell(v) for v in flat.values()) + "\n"
-    lines = []
-    for key, value in report.items():
-        if key == "result" and isinstance(value, dict):
-            lines += [f"  {k:<12} {_human(v)}" for k, v in value.items() if k != "trace"]
-            if value.get("trace"):
-                lines += ["  trace:", f"    {'j':>3} {'h_star':>15} {'gamma':>15} {'s_j':>12}"]
-                lines += [f"    {it['j']:>3} {it['h_star']:>15.6f} "
-                          f"{it['gamma']:>15.6e} {it['s_j']:>12.6f}" for it in value["trace"]]
-        elif isinstance(value, dict):
-            lines.append(f"{key}:")
-            lines += [f"  {k:<12} {_human(v)}" for k, v in value.items()]
+def _grid(rows: list[dict[str, Any]]) -> list[list[str]]:
+    """The header and the formatted cells of a list of row dicts."""
+    return [list(rows[0])] + [[_cell(v) for v in row.values()] for row in rows]
+
+
+def _human(doc: Any, indent: str = "") -> str:
+    """A list of row dicts as right-aligned columns (an empty list prints
+    nothing); a dict as ``key: value`` lines, each nested dict or list under a
+    ``key:`` heading."""
+    if isinstance(doc, list):
+        grid = _grid(doc) if doc else []
+        widths = [max(map(len, column)) for column in zip(*grid)]
+        return "".join(indent + "  ".join(c.rjust(w) for c, w in zip(line, widths)) + "\n"
+                       for line in grid)
+    text = ""
+    for key, value in doc.items():
+        if isinstance(value, (dict, list)):
+            text += f"{indent}{key}:\n" + _human(value, indent + "  ")
         else:
-            lines.append(f"{key}: {_human(value)}")
-    return "".join(line + "\n" for line in lines)
+            text += f"{indent}{key}: {_cell(value)}\n"
+    return text
 
 
-def _emit_rows(rows: list[dict[str, Any]], fmt: str) -> str:
+def _emit(doc: Any, fmt: str) -> str:
+    """The one writer: a report dict or a list of row dicts in ``fmt``."""
     if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
-    keys = list(rows[0])
-    if fmt == "csv":
-        lines = [",".join(keys)] + [",".join(_csv_cell(row[k]) for k in keys) for row in rows]
-    else:
-        widths = {k: max(len(k), 12) for k in keys}
-        lines = [" ".join(f"{k:>{widths[k]}}" for k in keys)] + [
-            " ".join(f"{_human(row[k]):>{widths[k]}}" for k in keys) for row in rows]
-    return "".join(line + "\n" for line in lines)
-
-
-def _emit_columns(header: str, columns: Sequence[Sequence[float]]) -> str:
-    return header + "".join(",".join(_g9(v) for v in row) + "\n" for row in zip(*columns))
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "table":
+        return _human(doc)
+    return "".join(",".join(line) + "\n"
+                   for line in _grid(doc if isinstance(doc, list) else [_flatten(doc)]))
 
 
 def _solve(spec: ProblemSpec, opts: dict[str, Any]):
@@ -224,7 +212,7 @@ def cmd_solve(args: argparse.Namespace) -> Output:
               "result": fields, "references": spec.references(params, result),
               "wall_time_s": elapsed}
     code = _failed(result, "solve") if not result.converged else EXIT_OK
-    return code, _emit_report(report, args.format)
+    return code, _emit(report, args.format)
 
 
 def cmd_table(args: argparse.Namespace) -> Output:
@@ -235,7 +223,7 @@ def cmd_table(args: argparse.Namespace) -> Output:
         if not result.converged:
             return _failed(result, "row " + ",".join(f"{k}={v}" for k, v in override.items())), None
         rows.append(spec.row(params, config, result))
-    return EXIT_OK, _emit_rows(rows, args.format)
+    return EXIT_OK, _emit(rows, args.format)
 
 
 def cmd_profile(args: argparse.Namespace) -> Output:
@@ -251,10 +239,11 @@ def cmd_profile(args: argparse.Namespace) -> Output:
         return _failed(result, "solve"), None
     prof = original_profile(problem, result.s, args.points)
     if args.command == "profile":
-        return EXIT_OK, _emit_columns("eta,U,dU\n", (prof.eta, prof.u, prof.du))
+        return EXIT_OK, _emit([{"eta": eta, "U": u, "dU": du}
+                               for eta, u, du in zip(prof.eta, prof.u, prof.du)], "csv")
     phys = reconstruct_physical(prof, spec.exponents(), result.s, args.t)
-    return EXIT_OK, _emit_columns(f"# t={_g9(args.t)} x_w={_g9(phys.x_w)}\nx,u,du_dx\n",
-                                  (phys.x, phys.u, phys.du_dx))
+    rows = [{"x": x, "u": u, "du_dx": du} for x, u, du in zip(phys.x, phys.u, phys.du_dx)]
+    return EXIT_OK, f"# t={_cell(args.t)} x_w={_cell(phys.x_w)}\n" + _emit(rows, "csv")
 
 
 def cmd_check_invariance(args: argparse.Namespace) -> Output:
@@ -265,9 +254,7 @@ def cmd_check_invariance(args: argparse.Namespace) -> Output:
     report = {"n": args.n, "alpha": args.alpha, "beta": args.beta, "gamma": gamma,
               "pde_residual": residuals[0], "origin_residual": residuals[1],
               "invariant": all(abs(r) < 1e-12 for r in residuals)}
-    if args.format == "table":
-        return EXIT_OK, "".join(f"{k}: {v}\n" for k, v in report.items())
-    return EXIT_OK, _emit_report(report, args.format)
+    return EXIT_OK, _emit(report, args.format)
 
 
 _FLAGS: dict[str, dict[str, Any]] = {
@@ -335,7 +322,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out is None:
             sys.stdout.write(text)
         else:
-            with open(args.out, "w") as out:
+            try:
+                out = open(args.out, "w")
+            except OSError as exc:
+                print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+                return EXIT_INVALID_PARAMS
+            with out:
                 out.write(text)
     return code
 

@@ -49,6 +49,10 @@ class SimilarityExponents:
     origin_kind: OriginKind
     beta: Optional[float] = None
 
+    def __post_init__(self) -> None:
+        if self.origin_kind is OriginKind.DIRICHLET and self.beta is not None:
+            raise InvalidParams(f"a Dirichlet origin has no beta, got beta={self.beta}")
+
 
 @dataclass(frozen=True)
 class PhysicalProfile:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -266,6 +267,46 @@ def test_out_writes_the_stdout_bytes(tmp_path, capsys, argv):
     assert _mask_wall_time(path.read_text()) == _mask_wall_time(out)
 
 
+@pytest.mark.parametrize("target, error", [("missing/out.txt", errno.ENOENT), (".", errno.EISDIR)])
+def test_unwritable_out_exits_3(tmp_path, capsys, target, error):
+    path = tmp_path / target
+    code, out, err = run(capsys, ["table", "stefan", "--out", str(path)])
+    assert code == 3
+    assert out == ""
+    assert err == f"error: cannot write {path}: {os.strerror(error)}\n"
+
+
+def test_human_report_heads_each_block(capsys):
+    code, out, _ = run(capsys, ["stefan", "--trace"])
+    assert code == 0
+    lines = out.splitlines()
+    result = lines.index("result:")
+    assert lines[result - 1] == "  max_iter: 50"  # the last config line
+    assert lines[result + 1] == "  status: converged"
+    trace = lines.index("  trace:")
+    assert lines[trace + 1].split() == ["j", "h_star", "gamma", "omega", "s_j"]
+    rows = lines[trace + 2:lines.index("  eta_w: 1.24012527")]
+    assert [row.split()[0] for row in rows] == ["0", "1", "2", "3", "4", "5"]
+    assert all(row.startswith("    ") for row in rows)
+    assert lines.index("references:") > lines.index("  dU0: -0.910777075")
+
+
+def test_human_report_prints_nine_significant_digits(capsys):
+    code, out, _ = run(capsys, ["stefan", "--S", "1e160"])
+    assert code == 2
+    assert "  S: 1e+160\n" in out.split("config:")[0]
+    assert "  h0: 8.14872351e-319\n" in out
+
+
+def test_human_report_prints_an_empty_trace_as_its_heading(capsys):
+    code, out, _ = run(capsys, ["spread", "--H", "0.1", "--trace"])
+    assert code == 4
+    lines = out.splitlines()
+    trace = lines.index("  trace:")
+    assert lines[trace - 1] == "  abscissa: 0.4985"
+    assert lines[trace + 1] == "  eta_w: nan"
+
+
 @pytest.mark.parametrize("argv", [
     ["table", "stefan", "--trace"],
     ["profile", "--format", "csv"],
@@ -289,6 +330,9 @@ def test_unread_flags_are_rejected(capsys, argv):
     (["check-invariance", "--n", "1", "--alpha", "-1"], "n*alpha + 1 = 0 for n=1.0, alpha=-1.0"),
     # the default guesses would be 0: say so, not that h0 and h1 coincide
     (["stefan", "--S", "1e300"], "the estimated root h* = 0.0 underflows for S = 1e+300"),
+    # beta belongs to a Neumann origin; under the default Dirichlet one it was ignored
+    (["check-invariance", "--n", "3", "--alpha", "-0.2", "--beta", "0.5", "--coefficient", "1"],
+     "a Dirichlet origin has no beta, got beta=0.5"),
 ])
 def test_non_finite_params_rejected(capsys, argv, message):
     code, out, err = run(capsys, argv)
@@ -359,6 +403,8 @@ def _fuzz_argv(draw, command):
         argv.append(f"--problem={draw(st.sampled_from(['stefan', 'spread']))}")
     if command in ("stefan", "spread", "check-invariance"):
         argv.append(f"--format={draw(st.sampled_from(['table', 'csv', 'json']))}")
+    if command in ("stefan", "spread") and draw(st.booleans()):
+        argv.append("--trace")
     return argv
 
 

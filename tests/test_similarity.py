@@ -54,6 +54,13 @@ def test_alpha_from_beta_degenerate():
         alpha_from_beta(2.0, 0.0)  # 2 - n = 0
 
 
+def test_dirichlet_origin_rejects_beta():
+    # a Dirichlet condition u(0, t) = A t^alpha has no Neumann exponent to balance
+    with pytest.raises(InvalidParams, match=r"a Dirichlet origin has no beta, got beta=0.5"):
+        SimilarityExponents(n=3.0, alpha=-0.2, gamma=5.0, coefficient=1.0,
+                            origin_kind=OriginKind.DIRICHLET, beta=0.5)
+
+
 def test_check_invariance_stefan():
     assert check_invariance(stefan_exponents()) == [0.0, 0.0]
 
