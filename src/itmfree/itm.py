@@ -27,11 +27,10 @@ s = omega^(-delta) s*, w(0) = omega^(-1) w*(0), w'(0) = omega^(delta-1) w*'(0).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from .errors import InvalidParams, OmegaNonPositive, SingularRhs
 from .ivp import SolutionProfile, State2, integrate_inward
@@ -54,6 +53,10 @@ def _identity_output(eta: float, w: float, dw: float) -> tuple[float, float]:
     return w, dw
 
 
+def _h_itself(h: float) -> float:
+    return h
+
+
 def _require_finite_nonzero(name: str, value: float) -> None:
     if not (math.isfinite(value) and value != 0.0):
         raise InvalidParams(f"{name} must be finite and nonzero, got {value}")
@@ -71,25 +74,32 @@ def _power(base: float, exponent: float) -> float:
 class ReducedFreeBvp:
     """A second-order free boundary problem plus its extended embedding.
 
-    ``extended_rhs(h, z, w, dw)`` returns w'' of the extended problem and
-    ``extended_boundary(h, s)`` returns (w(s), w'(s)); at h = 1 they are the
-    original problem, so ``rhs(z, w, dw)`` defaults to ``extended_rhs`` at
-    h = 1. ``origin_condition(w, dw)`` is g in g(w(0), w'(0)) = C, and C is
+    h is fixed during one integration, so whatever the extended RHS derives
+    from it is computed once: ``coefficients(h)`` returns those constants
+    (h itself by default) and ``extended_rhs(coef, z, w, dw)`` returns w'' of
+    the extended problem given them. ``extended_boundary(h, s)`` returns
+    (w(s), w'(s)); at h = 1 both are the original problem.
+    ``origin_condition(w, dw)`` is g in g(w(0), w'(0)) = C, and C is
     ``origin_constant``, finite and nonzero: a homogeneous condition must be
     shifted first. ``to_original(eta, w, dw)`` returns (u, du), undoing that
-    shift (identity when no shift was needed).
+    shift (identity when no shift was needed). ``rhs(z, w, dw)`` is the
+    h = 1 view of ``extended_rhs`` for callers of the original problem; the
+    solver does not read it.
     """
 
     origin_condition: Callable[[float, float], float]
     origin_constant: float
-    extended_rhs: Callable[[float, float, float, float], float]
+    extended_rhs: Callable[[Any, float, float, float], float]
     extended_boundary: Callable[[float, float], tuple[float, float]]
     to_original: Callable[[float, float, float], tuple[float, float]] = _identity_output
+    coefficients: Callable[[float], Any] = _h_itself
     rhs: Optional[Callable[[float, float, float], float]] = None
 
     def __post_init__(self) -> None:
         if self.rhs is None:
-            object.__setattr__(self, "rhs", functools.partial(self.extended_rhs, 1.0))
+            coefficients, extended_rhs = self.coefficients, self.extended_rhs
+            object.__setattr__(self, "rhs",
+                               lambda z, w, dw: extended_rhs(coefficients(1.0), z, w, dw))
         _require_finite_nonzero("origin constant", self.origin_constant)
 
 
@@ -193,7 +203,7 @@ def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     y_start = State2(*problem.extended_boundary(h_star, s_star))
     # ItmConfig keeps 0 < step <= s* and s*/step finite, so this is at least 1
     n_steps = round(s_star / config.step)
-    res = integrate_inward(functools.partial(problem.extended_rhs, h_star),
+    res = integrate_inward(problem.extended_rhs, problem.coefficients(h_star),
                            s_star, y_start, 0.0, n_steps)
     ratio = problem.origin_condition(*res.endpoint) / problem.origin_constant
     if not ratio > 0.0:
@@ -226,12 +236,14 @@ def recover_values(omega: float, scaling: ExtendedScaling, endpoint: State2,
 def original_profile(problem: ReducedFreeBvp, s: float, n_steps: int) -> SolutionProfile:
     """Integrate the original (h = 1) problem inward from s, recording all steps.
 
-    The start state is the extended boundary data at h = 1. The returned
+    It integrates ``extended_rhs`` with ``coefficients(1.0)`` from the
+    extended boundary data at h = 1. The returned
     profile is in the original, un-shifted variables and ordered by
     increasing abscissa.
     """
     y_start = State2(*problem.extended_boundary(1.0, s))
-    prof = integrate_inward(problem.rhs, s, y_start, 0.0, n_steps, record_profile=True).profile
+    prof = integrate_inward(problem.extended_rhs, problem.coefficients(1.0), s, y_start, 0.0,
+                            n_steps, record_profile=True).profile
     eta = prof.eta[::-1]
     u, du = zip(*map(problem.to_original, eta, prof.u[::-1], prof.du[::-1]))
     return SolutionProfile(eta, u, du)

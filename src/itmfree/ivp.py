@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .errors import InvalidParams, SingularRhs
 
 __all__ = ["State2", "SolutionProfile", "IntegrationResult", "integrate_inward"]
 
-Rhs = Callable[[float, float, float], float]  # (z, w, w') -> w''
+Rhs = Callable[[Any, float, float, float], float]  # (coef, z, w, w') -> w''
 
 
 class State2(NamedTuple):
@@ -44,14 +44,17 @@ class IntegrationResult:
     profile: Optional[SolutionProfile] = None
 
 
-def integrate_inward(rhs: Rhs, z_start: float, y_start: State2, z_end: float,
+def integrate_inward(rhs: Rhs, coef: Any, z_start: float, y_start: State2, z_end: float,
                      n_steps: int, record_profile: bool = False) -> IntegrationResult:
-    """Integrate w'' = rhs(z, w, w') from z_start down to z_end with classical RK4.
+    """Integrate w'' = rhs(coef, z, w, w') from z_start down to z_end with classical RK4.
 
     Parameters
     ----------
     rhs : callable
-        Maps (z, w, w') to w''; called exactly four times per step.
+        Maps (coef, z, w, w') to w''; called directly, exactly four times per step.
+    coef : object
+        Handed unchanged to every rhs call: the constants of this initial value
+        problem, computed once by the caller instead of once per call.
     z_start, z_end : float
         Integration interval; z_end < z_start (inward).
     y_start : State2
@@ -78,10 +81,10 @@ def integrate_inward(rhs: Rhs, z_start: float, y_start: State2, z_end: float,
     if not (math.isfinite(y_start.w) and math.isfinite(y_start.dw)):
         raise SingularRhs(z_start, f"start state (w, w') = ({y_start.w!r}, {y_start.dw!r}) "
                                    f"at z = {z_start!r} is not finite")
-    return _rk4(rhs, z_start, y_start, z_end, n_steps, record_profile)
+    return _rk4(rhs, coef, z_start, y_start, z_end, n_steps, record_profile)
 
 
-def _rk4(rhs: Rhs, z_start: float, y_start: State2, z_end: float, n_steps: int,
+def _rk4(rhs: Rhs, coef: Any, z_start: float, y_start: State2, z_end: float, n_steps: int,
          record: bool) -> IntegrationResult:
     z, (w, dw) = z_start, y_start
     h = (z_end - z_start) / n_steps
@@ -93,13 +96,13 @@ def _rk4(rhs: Rhs, z_start: float, y_start: State2, z_end: float, n_steps: int,
         for i in range(1, n_steps + 1):
             # keep the grid exact: the step ends on an abscissa computed from its index
             z_next = z_start + i * h if i < n_steps else z_end
-            a1 = rhs(z, w, dw)
+            a1 = rhs(coef, z, w, dw)
             dw2 = dw + h2 * a1
-            a2 = rhs(z + h2, w + h2 * dw, dw2)
+            a2 = rhs(coef, z + h2, w + h2 * dw, dw2)
             dw3 = dw + h2 * a2
-            a3 = rhs(z + h2, w + h2 * dw2, dw3)
+            a3 = rhs(coef, z + h2, w + h2 * dw2, dw3)
             dw4 = dw + h * a3
-            a4 = rhs(z + h, w + h * dw3, dw4)
+            a4 = rhs(coef, z + h, w + h * dw3, dw4)
             w += h6 * (dw + 2 * dw2 + 2 * dw3 + dw4)
             dw += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
             z = z_next

@@ -91,14 +91,15 @@ def make_stefan(params: StefanParams) -> tuple[ReducedFreeBvp, ExtendedScaling]:
     """
     S = params.S
 
-    def extended_rhs(h: float, z: float, w: float, dw: float) -> float:
-        return -0.5 * math.sqrt(h) * z * dw
+    def extended_rhs(a: float, z: float, w: float, dw: float) -> float:
+        return a * z * dw
 
     problem = ReducedFreeBvp(
         origin_condition=lambda w, dw: w,
         origin_constant=1.0,
         extended_rhs=extended_rhs,
         extended_boundary=lambda h, s: (0.0, -0.5 * h ** 0.75 * S * s),
+        coefficients=lambda h: -0.5 * math.sqrt(h),  # the convection coefficient
     )
     return problem, ExtendedScaling(delta=-1.0, sigma=4.0, origin_weight=1.0)
 
@@ -116,14 +117,13 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
     H, L = params.H, params.L
     slope = L / (5.0 * H ** 3) + 1.0
 
-    def shifted_terms(h: float, z: float, w: float, dw: float) -> float:
-        sh = math.sqrt(h)
+    def shifted_terms(coef: tuple[float, float], z: float, w: float, dw: float) -> float:
+        sh, c = coef
         u = w - sh * z
         if u <= 0.0:
             # (V - h^(1/2) eta)^(-3) blows up; diagnose instead of NaN
             raise SingularRhs(z, f"V - h^(1/2) eta = {u} <= 0 at eta = {z}")
         du = dw - sh
-        c = h * h / 5.0
         return -3.0 * du * du / u - c * z * du / u ** 3 - c / u ** 2
 
     problem = ReducedFreeBvp(
@@ -132,6 +132,7 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
         extended_rhs=shifted_terms,
         extended_boundary=lambda h, s: (h * H + math.sqrt(h) * s, math.sqrt(h) * slope),
         to_original=lambda eta, w, dw: (w - eta, dw - 1.0),
+        coefficients=lambda h: (math.sqrt(h), h * h / 5.0),
     )
     return problem, ExtendedScaling(delta=0.5, sigma=1.0, origin_weight=0.5)
 

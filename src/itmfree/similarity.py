@@ -40,7 +40,10 @@ class OriginKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SimilarityExponents:
-    """Exponents (n, alpha, beta, gamma) and coefficient (A or B) of the group."""
+    """Exponents (n, alpha, beta, gamma) and coefficient (A or B) of the group.
+
+    beta belongs to a Neumann origin only, and is required there unless B = 0.
+    """
 
     n: float
     alpha: float
@@ -52,6 +55,11 @@ class SimilarityExponents:
     def __post_init__(self) -> None:
         if self.origin_kind is OriginKind.DIRICHLET and self.beta is not None:
             raise InvalidParams(f"a Dirichlet origin has no beta, got beta={self.beta}")
+        # without beta the Neumann balance alpha*gamma - 1 - gamma*beta cannot be checked
+        if (self.origin_kind is OriginKind.NEUMANN and self.coefficient != 0.0
+                and self.beta is None):
+            raise InvalidParams(f"a Neumann origin with coefficient={self.coefficient} "
+                                "needs a beta")
 
 
 @dataclass(frozen=True)
@@ -98,13 +106,10 @@ def check_invariance(exps: SimilarityExponents) -> list[float]:
     (defined as zero when the coefficient B vanishes).
     """
     pde = exps.gamma * (exps.n * exps.alpha + 1.0) - 2.0
-    if exps.origin_kind is OriginKind.DIRICHLET:
+    if exps.origin_kind is OriginKind.DIRICHLET or exps.coefficient == 0.0:
         origin = 0.0
     else:
-        if exps.coefficient == 0.0 or exps.beta is None:
-            origin = 0.0
-        else:
-            origin = exps.alpha * exps.gamma - 1.0 - exps.gamma * exps.beta
+        origin = exps.alpha * exps.gamma - 1.0 - exps.gamma * exps.beta
     return [pde, origin]
 
 

@@ -333,6 +333,9 @@ def test_unread_flags_are_rejected(capsys, argv):
     # beta belongs to a Neumann origin; under the default Dirichlet one it was ignored
     (["check-invariance", "--n", "3", "--alpha", "-0.2", "--beta", "0.5", "--coefficient", "1"],
      "a Dirichlet origin has no beta, got beta=0.5"),
+    # a Neumann origin with B != 0 and no beta passed its origin balance unchecked
+    (["check-invariance", "--n", "3", "--alpha", "-0.2", "--coefficient", "1",
+      "--origin", "neumann"], "a Neumann origin with coefficient=1.0 needs a beta"),
 ])
 def test_non_finite_params_rejected(capsys, argv, message):
     code, out, err = run(capsys, argv)

@@ -223,11 +223,39 @@ def test_extended_degeneracy_at_h1(spreading_problem):
     for z in zs:
         y = State2(1.3 + 0.2 * z, 0.4)
         # the original RHS is the extended one at h = 1, unless one is given
-        assert problem.rhs(z, *y) == problem.extended_rhs(1.0, z, *y)
+        assert problem.rhs(z, *y) == problem.extended_rhs(problem.coefficients(1.0), z, *y)
         # V(s) = H + s and V'(s) = L/(5 H^3) + 1 at h = 1
         assert problem.extended_boundary(1.0, z) == (0.5 + z, -0.5 / (5.0 * 0.5 ** 3) + 1.0)
     given = dataclasses.replace(problem, rhs=lambda z, w, dw: 7.0)
     assert given.rhs(0.5, 1.0, 1.0) == 7.0
+
+
+def test_coefficients_run_once_per_integration():
+    # h is fixed during one integration: coefficients(h) runs once for it, and
+    # each of the 4 RK4 stages of every step receives that same object
+    asked, made, seen = [], [], []
+
+    def coefficients(h):
+        asked.append(h)
+        made.append(object())
+        return made[-1]
+
+    def extended_rhs(coef, z, w, dw):
+        seen.append(coef)
+        return 0.0
+
+    problem = ReducedFreeBvp(origin_condition=lambda w, dw: w, origin_constant=1.0,
+                             extended_rhs=extended_rhs,
+                             extended_boundary=lambda h, s: (h, 0.0),
+                             coefficients=coefficients)
+    scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
+    config = ItmConfig(s_star=0.5, step=0.1, h0=2.0, h1=3.0)  # 5 steps
+    for h_star in (2.0, 3.0):
+        evaluate_gamma(problem, scaling, h_star, config)
+    original_profile(problem, 1.0, 7)
+    assert asked == [2.0, 3.0, 1.0]
+    # distinct objects compare by identity
+    assert seen == [made[0]] * (4 * 5) + [made[1]] * (4 * 5) + [made[2]] * (4 * 7)
 
 
 def test_secant_breakdown():

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from itmfree.ivp import _rk4
 from itmfree.problems import SpreadingParams, StefanParams, make_spreading, make_stefan
 
 
-def _reference_rk4(rhs, z0, y0, z1, n_steps):
+def _reference_rk4(rhs, coef, z0, y0, z1, n_steps):
     """Classical RK4 written with tuple stage pairs (w', w''), each checked for
     finiteness; returns the endpoint and the recorded (z, w, w') columns."""
     h = (z1 - z0) / n_steps
@@ -18,7 +17,7 @@ def _reference_rk4(rhs, z0, y0, z1, n_steps):
     zs, ws, dws = [z], [w], [dw]
 
     def f(za, wa, dwa):
-        k = (dwa, rhs(za, wa, dwa))
+        k = (dwa, rhs(coef, za, wa, dwa))
         if not (math.isfinite(k[0]) and math.isfinite(k[1])):
             raise SingularRhs(za)
         return k
@@ -41,26 +40,26 @@ def _reference_rk4(rhs, z0, y0, z1, n_steps):
 
 def test_exact_on_linear_solution():
     # w'' = 0 is a polynomial of degree 1; RK4 reproduces it exactly
-    rhs = lambda z, w, dw: 0.0
-    res = integrate_inward(rhs, 1.0, State2(0.0, 1.0), 0.0, 10)
+    rhs = lambda _, z, w, dw: 0.0
+    res = integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), 0.0, 10)
     assert res.endpoint.w == pytest.approx(-1.0, abs=1e-12)
     assert res.endpoint.dw == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_on_cubic():
     # w = z^3: w'' = 6z, also integrated exactly by RK4
-    rhs = lambda z, w, dw: 6.0 * z
-    res = integrate_inward(rhs, 1.0, State2(1.0, 3.0), 0.0, 7)
+    rhs = lambda _, z, w, dw: 6.0 * z
+    res = integrate_inward(rhs, None, 1.0, State2(1.0, 3.0), 0.0, 7)
     assert res.endpoint.w == pytest.approx(0.0, abs=1e-15)
     assert res.endpoint.dw == pytest.approx(0.0, abs=1e-15)
 
 
 def test_exponential_fourth_order_decay():
     # w'' = w with w = e^z; halving the step cuts the error ~16x
-    rhs = lambda z, w, dw: w
+    rhs = lambda _, z, w, dw: w
     errs = []
     for n in (50, 100, 200):
-        res = integrate_inward(rhs, 1.0, State2(math.e, math.e), 0.0, n)
+        res = integrate_inward(rhs, None, 1.0, State2(math.e, math.e), 0.0, n)
         errs.append(abs(res.endpoint.w - 1.0))
     for coarse, fine in zip(errs, errs[1:]):
         assert 14.0 <= coarse / fine <= 18.0
@@ -71,9 +70,9 @@ def test_stefan_extended_endpoint_matches_quadrature():
     # U*(0) = (h*^(3/4)/4) exp(c/4) int_0^(1/2) exp(-c eta^2) deta, c = sqrt(h*)/4,
     # for h* = 37.843777: U*(0) = 2.4803125025213273.
     hs = 37.843777
-    rhs = lambda z, w, dw: -0.5 * math.sqrt(hs) * z * dw
+    rhs = lambda h, z, w, dw: -0.5 * math.sqrt(h) * z * dw
     y0 = State2(0.0, -(hs ** 0.75 / 2.0) * 1.0 * 0.5)
-    res = integrate_inward(rhs, 0.5, y0, 0.0, 500)
+    res = integrate_inward(rhs, hs, 0.5, y0, 0.0, 500)
     omega = res.endpoint.w
     assert omega == pytest.approx(2.4803125025213273, abs=1e-10)
     # the recovered h = omega^-4 h* sits within 1e-4 of 1 at this h*
@@ -81,8 +80,8 @@ def test_stefan_extended_endpoint_matches_quadrature():
 
 
 def test_profile_bookkeeping():
-    rhs = lambda z, w, dw: w
-    res = integrate_inward(rhs, 1.0, State2(1.0, 0.0), 0.0, 25, record_profile=True)
+    rhs = lambda _, z, w, dw: w
+    res = integrate_inward(rhs, None, 1.0, State2(1.0, 0.0), 0.0, 25, record_profile=True)
     assert res.steps_taken == 25
     assert res.profile is not None
     assert len(res.profile) == 26
@@ -94,10 +93,10 @@ def test_profile_bookkeeping():
 
 
 def test_reversal_consistency():
-    rhs = lambda z, w, dw: w
+    rhs = lambda _, z, w, dw: w
     start = State2(2.0, -1.0)
-    inward = _rk4(rhs, 1.0, start, 0.0, 64, record=False)
-    back = _rk4(rhs, 0.0, inward.endpoint, 1.0, 64, record=False)
+    inward = _rk4(rhs, None, 1.0, start, 0.0, 64, record=False)
+    back = _rk4(rhs, None, 0.0, inward.endpoint, 1.0, 64, record=False)
     # RK4 is not time-symmetric, so the round trip cancels only to the
     # truncation error of a single pass (~h^4)
     assert abs(back.endpoint.w - start.w) <= 1e-9
@@ -107,41 +106,41 @@ def test_reversal_consistency():
 def test_singular_rhs_reports_abscissa():
     # below z = 0.5 the RHS is nan, or a float ** that raises OverflowError
     for bad in (lambda: float("nan"), lambda: 1e200 ** 2):
-        def rhs(z, w, dw):
+        def rhs(_, z, w, dw):
             if z < 0.5:
                 return bad()
             return 0.0
 
         with pytest.raises(SingularRhs) as exc:
-            integrate_inward(rhs, 1.0, State2(0.0, 1.0), 0.0, 100)
+            integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), 0.0, 100)
         assert 0.0 <= exc.value.abscissa <= 0.51
     # non-finite only at the midpoint 0.505 of the step 0.51 -> 0.50: the stage
     # value makes that step's state non-finite, reported where the step ends
     for bad in (math.nan, math.inf, -math.inf):
-        def rhs(z, w, dw):
+        def rhs(_, z, w, dw):
             return bad if abs(z - 0.505) < 1e-9 else 0.0
 
         with pytest.raises(SingularRhs) as exc:
-            integrate_inward(rhs, 1.0, State2(0.0, 1.0), 0.0, 100)
+            integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), 0.0, 100)
         assert exc.value.abscissa == 0.5
 
 
 def test_determinism():
-    rhs = lambda z, w, dw: -0.5 * z * dw
-    a = integrate_inward(rhs, 0.5, State2(0.0, -1.0), 0.0, 500)
-    b = integrate_inward(rhs, 0.5, State2(0.0, -1.0), 0.0, 500)
+    rhs = lambda _, z, w, dw: -0.5 * z * dw
+    a = integrate_inward(rhs, None, 0.5, State2(0.0, -1.0), 0.0, 500)
+    b = integrate_inward(rhs, None, 0.5, State2(0.0, -1.0), 0.0, 500)
     assert a.endpoint == b.endpoint
 
 
 def test_direction_and_step_validation():
-    rhs = lambda z, w, dw: 0.0
+    rhs = lambda _, z, w, dw: 0.0
     with pytest.raises(InvalidParams, match="inward integration requires z_end < z_start"):
-        integrate_inward(rhs, 0.0, State2(0.0, 1.0), 1.0, 10)
+        integrate_inward(rhs, None, 0.0, State2(0.0, 1.0), 1.0, 10)
     with pytest.raises(InvalidParams, match="n_steps must be >= 1"):
-        integrate_inward(rhs, 1.0, State2(0.0, 1.0), 0.0, 0)
+        integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), 0.0, 0)
     for start in (State2(float("inf"), 1.0), State2(0.0, float("nan"))):
         with pytest.raises(SingularRhs) as exc:
-            integrate_inward(rhs, 1.0, start, 0.0, 10)
+            integrate_inward(rhs, None, 1.0, start, 0.0, 10)
         assert exc.value.abscissa == 1.0
 
 
@@ -153,17 +152,19 @@ def test_matches_reference_rk4_bit_for_bit(make, params, h_star, n_steps):
     # the extended problems as evaluate_gamma integrates them, from s* = 0.5
     problem, _ = make(params)
     start = State2(*problem.extended_boundary(h_star, 0.5))
-    rhs = functools.partial(problem.extended_rhs, h_star)
-    expected_end, expected = _reference_rk4(rhs, 0.5, start, 0.0, n_steps)
-    res = integrate_inward(rhs, 0.5, start, 0.0, n_steps, record_profile=True)
+    rhs, coef = problem.extended_rhs, problem.coefficients(h_star)
+    expected_end, expected = _reference_rk4(rhs, coef, 0.5, start, 0.0, n_steps)
+    res = integrate_inward(rhs, coef, 0.5, start, 0.0, n_steps, record_profile=True)
     assert res.endpoint == expected_end
     assert (res.profile.eta, res.profile.u, res.profile.du) == expected
 
 
 def test_recorded_profile_matches_reference_rk4_bit_for_bit():
+    # the original problem as original_profile integrates it, at h = 1
     problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
     start = State2(*problem.extended_boundary(1.0, 1.0))
-    expected_end, expected = _reference_rk4(problem.rhs, 1.0, start, 0.0, 200)
-    res = integrate_inward(problem.rhs, 1.0, start, 0.0, 200, record_profile=True)
+    rhs, coef = problem.extended_rhs, problem.coefficients(1.0)
+    expected_end, expected = _reference_rk4(rhs, coef, 1.0, start, 0.0, 200)
+    res = integrate_inward(rhs, coef, 1.0, start, 0.0, 200, record_profile=True)
     assert res.endpoint == expected_end
     assert (res.profile.eta, res.profile.u, res.profile.du) == expected

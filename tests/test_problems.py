@@ -67,7 +67,7 @@ def test_spreading_boundary_slope_value():
 def test_spreading_positivity_guard():
     problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
     with pytest.raises(SingularRhs) as exc:
-        problem.extended_rhs(4.0, 1.0, 1.0, 0.0)  # V - 2 eta = -1
+        problem.extended_rhs(problem.coefficients(4.0), 1.0, 1.0, 0.0)  # V - 2 eta = -1
     assert exc.value.abscissa == 1.0
 
 

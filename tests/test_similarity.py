@@ -61,6 +61,17 @@ def test_dirichlet_origin_rejects_beta():
                             origin_kind=OriginKind.DIRICHLET, beta=0.5)
 
 
+def test_neumann_origin_with_a_coefficient_requires_beta():
+    # u_x(0, t) = B t^beta with B != 0: the origin balance needs beta
+    with pytest.raises(InvalidParams, match=r"a Neumann origin with coefficient=1.0 needs a beta"):
+        SimilarityExponents(n=3.0, alpha=-0.2, gamma=5.0, coefficient=1.0,
+                            origin_kind=OriginKind.NEUMANN)
+    # with B = 0 the balance is vacuous, so beta may be left out
+    exps = SimilarityExponents(n=3.0, alpha=-0.2, gamma=5.0, coefficient=0.0,
+                               origin_kind=OriginKind.NEUMANN)
+    assert check_invariance(exps)[1] == 0.0
+
+
 def test_check_invariance_stefan():
     assert check_invariance(stefan_exponents()) == [0.0, 0.0]
 
