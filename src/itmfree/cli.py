@@ -125,7 +125,10 @@ PROBLEMS: dict[str, ProblemSpec] = {
 
 
 def _cell(v: Any) -> str:
-    """The one float format of CSV and human output: 9 significant digits."""
+    """The one float format of CSV and human output: 9 significant digits; a
+    missing value (None, JSON's null) is empty."""
+    if v is None:
+        return ""
     return format(v, ".9g") if isinstance(v, float) else str(v)
 
 

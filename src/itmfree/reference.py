@@ -1,14 +1,15 @@
 """Closed-form and tabulated reference solutions used to validate the solver.
 
-Includes an in-house error function (so results do not depend on the host
-libm), the erf-based closed form of the one-phase Stefan problem with its
+Includes the erf-based closed form of the one-phase Stefan problem with its
 transcendental free-boundary equation, the exact spreading profile for every
-H > 0, L < 0, and stored asymptotic front positions.
+H > 0, L < 0, and stored asymptotic front positions. erf is CPython's
+``math.erf``, republished here as ``itmfree.reference.erf``.
 """
 
 from __future__ import annotations
 
 import math
+from math import erf
 
 from .errors import InvalidParams
 from .ivp import State2
@@ -23,8 +24,6 @@ __all__ = [
     "ASYMPTOTIC_ETA_W",
 ]
 
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
-
 # Asymptotic-expansion front positions per inverse Stefan number.
 ASYMPTOTIC_ETA_W: dict[float, float] = {
     0.1: 2.513961,
@@ -34,56 +33,6 @@ ASYMPTOTIC_ETA_W: dict[float, float] = {
     10.0: 0.440000,
     50.0: 0.199499,
 }
-
-
-def _erf_taylor(x: float) -> float:
-    # Maclaurin series; alternating, used only where cancellation is benign.
-    term = x
-    total = x
-    x2 = x * x
-    k = 0
-    while abs(term) > 1e-18 * abs(total) + 1e-300:
-        k += 1
-        term *= -x2 / k
-        total += term / (2 * k + 1)
-    return _TWO_OVER_SQRT_PI * total
-
-
-def _erf_scaled_series(x: float) -> float:
-    # erf(x) = (2/sqrt(pi)) exp(-x^2) sum_k 2^k x^(2k+1) / (2k+1)!! ;
-    # all terms positive, so no cancellation for moderate x.
-    term = x
-    total = x
-    x2 = x * x
-    k = 0
-    while term > 1e-18 * total:
-        k += 1
-        term *= 2.0 * x2 / (2 * k + 1)
-        total += term
-    return _TWO_OVER_SQRT_PI * math.exp(-x2) * total
-
-
-def _erfc_continued_fraction(x: float) -> float:
-    # erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    # evaluated bottom-up; converges quickly for x >= 3.
-    n_terms = 60
-    frac = 0.0
-    for k in range(n_terms, 0, -1):
-        frac = (k / 2.0) / (x + frac)
-    return math.exp(-x * x) / math.sqrt(math.pi) / (x + frac)
-
-
-def erf(x: float) -> float:
-    """Error function, absolute error <= 1e-12 on |x| <= 6; odd symmetry exact."""
-    if x == 0.0:
-        return 0.0
-    if x < 0.0:
-        return -erf(-x)
-    if x <= 1.0:
-        return _erf_taylor(x)
-    if x < 3.0:
-        return _erf_scaled_series(x)
-    return 1.0 - _erfc_continued_fraction(x)
 
 
 def _front_equation(S: float, eta_w: float) -> float:

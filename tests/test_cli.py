@@ -245,7 +245,19 @@ def test_check_invariance_csv(capsys):
     code, out, _ = run(capsys, ["check-invariance", "--n", "0", "--alpha", "0", "--format", "csv"])
     assert code == 0
     assert out == ("n,alpha,beta,gamma,pde_residual,origin_residual,invariant\n"
-                   "0,0,None,2,0,0,True\n")
+                   "0,0,,2,0,0,True\n")
+
+
+@pytest.mark.parametrize("fmt, line", [
+    ("csv", "3,-0.2,,5,0,0,True"),
+    ("table", "beta: "),
+])
+def test_missing_beta_prints_an_empty_value(capsys, fmt, line):
+    code, out, _ = run(capsys, ["check-invariance", "--n", "3", "--alpha", "-0.2",
+                                "--coefficient", "0", "--origin", "neumann", "--format", fmt])
+    assert code == 0
+    assert line in out.splitlines()
+    assert "None" not in out
 
 
 def _mask_wall_time(text):

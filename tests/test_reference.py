@@ -51,6 +51,18 @@ def test_erf_monotone_across_branch_boundaries():
         assert erf(b) - erf(a) < 1e-5
 
 
+def test_erf_within_2_ulp_on_the_criterion_7_grid():
+    # 50-digit mpmath erf on criterion 7's grid; the error is in units in the
+    # last place of the correctly rounded value
+    worst = 0.0
+    with mpmath.workdps(50):
+        for i in range(1000):
+            x = -6.0 + 12.0 * i / 999.0
+            exact = mpmath.erf(mpmath.mpf(x))
+            worst = max(worst, float(abs(erf(x) - exact)) / math.ulp(float(exact)))
+    assert worst <= 2.0
+
+
 def _front_residual(S: float, eta_w: float) -> float:
     return math.sqrt(math.pi) * S * eta_w * math.exp(eta_w ** 2 / 4.0) * erf(eta_w / 2.0) - 2.0
 
