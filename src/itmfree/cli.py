@@ -165,14 +165,33 @@ def _human(doc: Any, indent: str = "") -> str:
     return text
 
 
+def _quoted(cell: str) -> str:
+    """A CSV cell as RFC 4180 writes it: quoted, inner quotes doubled, only
+    when it holds a comma, a quote or a line break."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _csv(grid: list[list[str]]) -> str:
+    """The CSV text of a header and its rows of formatted cells."""
+    text = "".join(",".join(line) + "\n" for line in grid)
+    # Numbers never need quoting, and a profile has thousands of them, so the
+    # cells are examined only when the whole text shows that one needs it:
+    # a quote or CR, or more commas or newlines than separate cells and lines.
+    if ('"' in text or "\r" in text or text.count("\n") != len(grid)
+            or text.count(",") != sum(len(line) - 1 for line in grid)):
+        text = "".join(",".join(map(_quoted, line)) + "\n" for line in grid)
+    return text
+
+
 def _emit(doc: Any, fmt: str) -> str:
     """The one writer: a report dict or a list of row dicts in ``fmt``."""
     if fmt == "json":
         return json.dumps(doc, indent=2) + "\n"
     if fmt == "table":
         return _human(doc)
-    return "".join(",".join(line) + "\n"
-                   for line in _grid(doc if isinstance(doc, list) else [_flatten(doc)]))
+    return _csv(_grid(doc if isinstance(doc, list) else [_flatten(doc)]))
 
 
 def _solve(spec: ProblemSpec, opts: dict[str, Any]):

@@ -19,7 +19,8 @@ function
     Gamma(h*) = omega^(-sigma) h* - 1 ,
 
 whose root corresponds to h = 1, i.e. to the original problem. The secant
-method drives Gamma to zero, stepping in log h* because the group acts on h*
+method, with inverse quadratic interpolation from the third iterate on,
+drives Gamma to zero, stepping in log h* because the group acts on h*
 multiplicatively; the physical values follow from the scaling relations
 s = omega^(-delta) s*, w(0) = omega^(-1) w*(0), w'(0) = omega^(delta-1) w*'(0).
 """
@@ -261,6 +262,13 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     linear in x, and h* = exp(x) stays positive. F is formed from the two
     logarithms, not as log1p(Gamma), which fails when 1 + Gamma underflows.
 
+    The guesses h0, h1 are followed by the secant step. From the third
+    iterate on, the step is inverse quadratic interpolation (Brent 1973,
+    ch. 4): x as a quadratic in F through the last three iterates, at F = 0.
+    It falls back to the secant step when two of the three F values are
+    equal, or when the interpolated x is not finite or lies more than twice
+    as far from the last iterate as the secant step.
+
     Convergence requires both |Gamma(h*_j)| <= tol and |s_j - s_{j-1}| <= tol;
     the test is first applied at j = 1, since the s-difference needs two
     iterates. The free boundary and origin values are recovered from the
@@ -298,6 +306,11 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
         endpoints.append(ep)
         return None
 
+    def residual(it: ItmIteration) -> tuple[float, float]:
+        """(x, F) = (log h*, log h* - sigma log omega) of an iterate."""
+        x = math.log(it.h_star)
+        return x, x - sigma * math.log(it.omega)
+
     def finished(status: ItmStatus, it: ItmIteration) -> ItmResult:
         s, w0, dw0 = recover_values(it.omega, scaling, endpoints[it.j], config.s_star)
         w0, dw0 = problem.to_original(0.0, w0, dw0)
@@ -315,14 +328,22 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
             return finished(ItmStatus.CONVERGED, cur)
         if cur.j >= config.max_iter:
             return finished(ItmStatus.MAX_ITER_EXCEEDED, cur)
-        x_prev, x_cur = math.log(prev.h_star), math.log(cur.h_star)
-        f_prev = x_prev - sigma * math.log(prev.omega)
-        f_cur = x_cur - sigma * math.log(cur.omega)
+        (x_prev, f_prev), (x_cur, f_cur) = residual(prev), residual(cur)
         if f_cur == f_prev:
             return failed(ItmStatus.SECANT_BREAKDOWN, cur.h_star,
                           f"flat residual: log(1 + Gamma) = {f_cur!r} at h* = "
                           f"{prev.h_star!r} and at h* = {cur.h_star!r}")
         x_next = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
+        if cur.j >= 2:
+            # inverse quadratic interpolation in Newton's form: the secant step
+            # plus the term of the second divided difference of x over F
+            x_old, f_old = residual(trace[-3])
+            if f_old != f_prev and f_old != f_cur:
+                curvature = ((x_cur - x_prev) / (f_cur - f_prev)
+                             - (x_prev - x_old) / (f_prev - f_old)) / (f_cur - f_old)
+                x_iqi = x_next + f_cur * f_prev * curvature
+                if math.isfinite(x_iqi) and abs(x_iqi - x_cur) <= 2.0 * abs(x_next - x_cur):
+                    x_next = x_iqi
         if not abs(x_next) <= _MAX_LOG_H:
             return failed(ItmStatus.SECANT_BREAKDOWN, cur.h_star,
                           f"secant step from h* = {cur.h_star!r} to log h* = "

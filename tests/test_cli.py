@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import errno
 import io
 import json
@@ -248,6 +249,30 @@ def test_check_invariance_csv(capsys):
                    "0,0,,2,0,0,True\n")
 
 
+def test_csv_quotes_a_cell_holding_a_comma(capsys):
+    # the omega_non_positive message holds "g(w*(0), w*'(0))/C"
+    code, out, err = run(capsys, ["spread", "--H", "0.25", "--L", "-2", "--h0", "100",
+                                  "--h1", "316", "--format", "csv"])
+    assert code == 2
+    header, row = csv.reader(io.StringIO(out))
+    assert len(header) == len(row)
+    message = dict(zip(header, row))["result.message"]
+    assert message.startswith("g(w*(0), w*'(0))/C = -") and message.endswith(" is not positive")
+    assert err == f"error: solve did not converge: omega_non_positive: {message}\n"
+
+
+@pytest.mark.parametrize("cell, written", [
+    ('say "hi"', '"say ""hi"""'), ("two\nlines", '"two\nlines"'), ("cr\r", '"cr\r"'),
+    ("a,b", '"a,b"'), ('",\n', '""",\n"'), ("plain", "plain")])
+def test_csv_quotes_only_the_cells_that_need_it(cell, written):
+    # each character that needs quoting, alone, must be caught by the
+    # whole-text test that lets unquoted output through unchanged
+    grid = [["name", "value"], [cell, "1.5"], ["x", "2"]]
+    text = cli._csv(grid)
+    assert text == f"name,value\n{written},1.5\nx,2\n"
+    assert list(csv.reader(io.StringIO(text, newline=""))) == grid
+
+
 @pytest.mark.parametrize("fmt, line", [
     ("csv", "3,-0.2,,5,0,0,True"),
     ("table", "beta: "),
@@ -298,7 +323,7 @@ def test_human_report_heads_each_block(capsys):
     trace = lines.index("  trace:")
     assert lines[trace + 1].split() == ["j", "h_star", "gamma", "omega", "s_j"]
     rows = lines[trace + 2:lines.index("  eta_w: 1.24012527")]
-    assert [row.split()[0] for row in rows] == ["0", "1", "2", "3", "4", "5"]
+    assert [row.split()[0] for row in rows] == ["0", "1", "2", "3", "4"]
     assert all(row.startswith("    ") for row in rows)
     assert lines.index("references:") > lines.index("  dU0: -0.910777075")
 

@@ -16,9 +16,9 @@ from itmfree.itm import (
     secant_solve,
 )
 from itmfree.ivp import State2
-from itmfree.problems import (SpreadingParams, StefanParams, make_spreading, make_stefan,
-                              stefan_default_guesses)
-from itmfree.reference import exact_spreading
+from itmfree.problems import (STEFAN_GUESSES, SpreadingParams, StefanParams, make_spreading,
+                              make_stefan, stefan_default_guesses)
+from itmfree.reference import exact_spreading, neumann_eta_w
 
 # Gamma values for the spreading problem (H = 1/2, L = -1/2) at the
 # tabulated starting guesses, frozen from two independent integrations
@@ -205,7 +205,9 @@ def test_root_handed_in_returns_h0(stefan_s1):
     # no special case for a root at h0: the two-clause test needs Gamma small
     # at the last iterate and s settled between the last two
     assert result.converged
-    assert result.h_star == root
+    assert result.trace[0].h_star == root
+    # the last iterate is the interpolation step, a few roundings from the root
+    assert abs(result.h_star / root - 1.0) <= 1e-13
     assert len(result.trace) == 4
 
 
@@ -280,6 +282,86 @@ def test_secant_breakdown():
     message = solve(1.5)
     assert message.startswith("secant step from h* = 1.5 to log h* = -")
     assert message.endswith(" leaves the floating-point range")
+
+
+def residual(it, sigma=1.0):
+    """(x, F) = (log h*, log h* - sigma log omega) of an iterate, as the solver forms it."""
+    x = math.log(it.h_star)
+    return x, x - sigma * math.log(it.omega)
+
+
+def secant_x(older, newer, sigma=1.0):
+    """log h* of the plain secant step from two iterates."""
+    (x_prev, f_prev), (x_cur, f_cur) = residual(older, sigma), residual(newer, sigma)
+    return x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
+
+
+def residual_problem(F):
+    """A constant problem whose log residual at x = log h* is F(x) (sigma = 1)."""
+    return constant_problem(lambda h: h * math.exp(-F(math.log(h))))
+
+
+UNIT_SCALING = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
+
+
+def test_first_iterate_after_the_guesses_is_the_secant_step():
+    # interpolation starts at j = 3, so j = 2 keeps its bits: the spreading
+    # grid of test_problems and the Table 1 rows
+    solves = []
+    for H in (0.1, 0.25, 0.5, 1.0, 2.0):
+        for L in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0):
+            problem, scaling = make_spreading(SpreadingParams(H=H, L=L))
+            config = ItmConfig(s_star=0.5, step=5e-4, h0=0.5, h1=0.1)
+            solves.append((scaling, secant_solve(problem, scaling, config)))
+    for S, (h0, h1) in STEFAN_GUESSES.items():
+        problem, scaling = make_stefan(StefanParams(S=S))
+        config = ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1)
+        solves.append((scaling, secant_solve(problem, scaling, config)))
+    reached = [(scaling, r.trace) for scaling, r in solves if len(r.trace) >= 3]
+    assert len(reached) == 15 + len(STEFAN_GUESSES)  # 15 of the 30 grid cases get to j = 2
+    for scaling, trace in reached:
+        assert trace[2].h_star == math.exp(secant_x(trace[0], trace[1], scaling.sigma))
+
+
+def test_interpolation_lands_on_a_quadratic_root():
+    # x = F + F^2, inverted for F > -1/2: inverse quadratic interpolation through
+    # any three iterates is exact, so j = 3 is the root h* = 1 up to rounding
+    result = secant_solve(residual_problem(lambda x: 2.0 * x / (1.0 + math.sqrt(1.0 + 4.0 * x))),
+                          UNIT_SCALING,
+                          ItmConfig(s_star=1.0, step=0.5, h0=math.exp(0.5), h1=math.exp(0.3)))
+    assert result.converged
+    trace = result.trace
+    assert abs(math.log(trace[3].h_star)) <= 1e-15
+    assert abs(trace[3].gamma_val) <= 1e-15
+    assert abs(secant_x(trace[1], trace[2])) > 0.02  # the secant step misses it
+
+
+def test_interpolation_far_beyond_the_secant_step_falls_back_to_it():
+    # F = atan(5x) - 1 flattens, so the quadratic through j = 0, 1, 2 crosses
+    # F = 0 more than twice as far from x_2 as the secant step does
+    result = secant_solve(residual_problem(lambda x: math.atan(5.0 * x) - 1.0), UNIT_SCALING,
+                          ItmConfig(s_star=1.0, step=0.5, h0=math.e, h1=1.0))
+    assert result.converged
+    (x0, f0), (x1, f1), (x2, f2) = map(residual, result.trace[:3])
+    x_iqi = (x0 * f1 * f2 / ((f0 - f1) * (f0 - f2)) + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
+             + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1)))
+    x_secant = secant_x(result.trace[1], result.trace[2])
+    assert abs(x_iqi - x2) > 2.0 * abs(x_secant - x2)
+    assert result.trace[3].h_star == math.exp(x_secant)
+
+
+def test_stefan_sweep_gamma_evaluations():
+    # the 61-case sweep of the benchmark: 366 evaluations with the secant alone
+    evaluations = 0
+    for k in range(-30, 31):
+        S = 10.0 ** (k / 10)
+        problem, scaling = make_stefan(StefanParams(S=S))
+        h0, h1 = stefan_default_guesses(S)
+        result = secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1))
+        assert result.converged
+        assert abs(result.s - neumann_eta_w(S)) <= 1e-6
+        evaluations += len(result.trace)
+    assert evaluations <= 339
 
 
 def test_omega_non_positive_is_a_status():
