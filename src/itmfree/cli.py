@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 import time
 from typing import Any, Callable, Optional, Sequence
@@ -165,24 +166,20 @@ def _human(doc: Any, indent: str = "") -> str:
     return text
 
 
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
 def _quoted(cell: str) -> str:
     """A CSV cell as RFC 4180 writes it: quoted, inner quotes doubled, only
     when it holds a comma, a quote or a line break."""
-    if any(c in cell for c in ',"\r\n'):
+    if _NEEDS_QUOTES(cell):
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
 
 def _csv(grid: list[list[str]]) -> str:
     """The CSV text of a header and its rows of formatted cells."""
-    text = "".join(",".join(line) + "\n" for line in grid)
-    # Numbers never need quoting, and a profile has thousands of them, so the
-    # cells are examined only when the whole text shows that one needs it:
-    # a quote or CR, or more commas or newlines than separate cells and lines.
-    if ('"' in text or "\r" in text or text.count("\n") != len(grid)
-            or text.count(",") != sum(len(line) - 1 for line in grid)):
-        text = "".join(",".join(map(_quoted, line)) + "\n" for line in grid)
-    return text
+    return "".join(",".join(map(_quoted, line)) + "\n" for line in grid)
 
 
 def _emit(doc: Any, fmt: str) -> str:

@@ -333,7 +333,7 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
             return failed(ItmStatus.SECANT_BREAKDOWN, cur.h_star,
                           f"flat residual: log(1 + Gamma) = {f_cur!r} at h* = "
                           f"{prev.h_star!r} and at h* = {cur.h_star!r}")
-        x_next = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev)
+        x_next, step = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev), "secant"
         if cur.j >= 2:
             # inverse quadratic interpolation in Newton's form: the secant step
             # plus the term of the second divided difference of x over F
@@ -343,10 +343,10 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
                              - (x_prev - x_old) / (f_prev - f_old)) / (f_cur - f_old)
                 x_iqi = x_next + f_cur * f_prev * curvature
                 if math.isfinite(x_iqi) and abs(x_iqi - x_cur) <= 2.0 * abs(x_next - x_cur):
-                    x_next = x_iqi
+                    x_next, step = x_iqi, "interpolation"
         if not abs(x_next) <= _MAX_LOG_H:
             return failed(ItmStatus.SECANT_BREAKDOWN, cur.h_star,
-                          f"secant step from h* = {cur.h_star!r} to log h* = "
+                          f"{step} step from h* = {cur.h_star!r} to log h* = "
                           f"{x_next!r} leaves the floating-point range")
         if (failure := evaluate(math.exp(x_next))) is not None:
             return failure

@@ -265,8 +265,8 @@ def test_csv_quotes_a_cell_holding_a_comma(capsys):
     ('say "hi"', '"say ""hi"""'), ("two\nlines", '"two\nlines"'), ("cr\r", '"cr\r"'),
     ("a,b", '"a,b"'), ('",\n', '""",\n"'), ("plain", "plain")])
 def test_csv_quotes_only_the_cells_that_need_it(cell, written):
-    # each character that needs quoting, alone, must be caught by the
-    # whole-text test that lets unquoted output through unchanged
+    # each character that needs quoting, alone, makes its cell quoted; every
+    # other cell is written unchanged
     grid = [["name", "value"], [cell, "1.5"], ["x", "2"]]
     text = cli._csv(grid)
     assert text == f"name,value\n{written},1.5\nx,2\n"
