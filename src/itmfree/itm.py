@@ -262,17 +262,19 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     linear in x, and h* = exp(x) stays positive. F is formed from the two
     logarithms, not as log1p(Gamma), which fails when 1 + Gamma underflows.
 
-    The guesses h0, h1 are followed by the secant step. From the third
-    iterate on, the step is inverse quadratic interpolation (Brent 1973,
-    ch. 4): x as a quadratic in F through the last three iterates, at F = 0.
-    It falls back to the secant step when two of the three F values are
-    equal, or when the interpolated x is not finite or lies more than twice
-    as far from the last iterate as the secant step.
+    One loop builds every iterate: one Gamma evaluation, then
+    ``recover_values`` once for s_j (the scaling relations), then (x, F).
+    The guesses h0, h1 are iterates 0 and 1, and iterate 2 is the secant
+    step. From iterate 3 on, the step is inverse quadratic interpolation
+    (Brent 1973, ch. 4): x as a quadratic in F through the last three
+    iterates, at F = 0. It falls back to the secant step when two of the
+    three F values are equal, or when the interpolated x is not finite or
+    lies more than twice as far from the last iterate as the secant step.
 
     Convergence requires both |Gamma(h*_j)| <= tol and |s_j - s_{j-1}| <= tol;
     the test is first applied at j = 1, since the s-difference needs two
-    iterates. The free boundary and origin values are recovered from the
-    scaling relations, and ``to_original`` maps w(0), w'(0) back to the
+    iterates. A converged or MAX_ITER_EXCEEDED result carries the last
+    iterate's values, with ``to_original`` mapping w(0), w'(0) back to the
     original variables.
 
     Nothing is raised: ``config`` was checked when it was built, and every
@@ -281,72 +283,57 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     integration broke) or OMEGA_NON_POSITIVE, and ``h_star`` is the h* that failed. A flat
     residual, or a step beyond the float range of h*, gives SECANT_BREAKDOWN
     with ``h_star`` the last iterate. ``message`` says why, and the iterate
-    that failed has index ``len(trace)``. MAX_ITER_EXCEEDED keeps the values
-    recovered from the last iterate.
+    that failed has index ``len(trace)``.
     """
     tol, sigma = config.tol, scaling.sigma
     trace: list[ItmIteration] = []
-    endpoints: list[State2] = []
 
     def failed(status: ItmStatus, h_star: float, message: str,
                abscissa: float = math.nan) -> ItmResult:
         return ItmResult(status=status, omega=math.nan, h_star=h_star, s=math.nan, w0=math.nan,
                          dw0=math.nan, trace=trace, message=message, abscissa=abscissa)
 
-    def evaluate(h_star: float) -> Optional[ItmResult]:
-        """Append the iterate at h_star to the trace, or return the failed result."""
+    # (x, F) of iterates j - 2, j - 1 and j
+    x_old = f_old = x_prev = f_prev = x_cur = f_cur = math.nan
+    h_star = config.h0
+    while True:
+        j = len(trace)
         try:
-            g, om, ep = evaluate_gamma(problem, scaling, h_star, config)
+            gamma_val, omega, endpoint = evaluate_gamma(problem, scaling, h_star, config)
         except SingularRhs as exc:
             return failed(ItmStatus.SINGULAR_INTEGRATION, h_star, str(exc), exc.abscissa)
         except OmegaNonPositive as exc:
             return failed(ItmStatus.OMEGA_NON_POSITIVE, h_star, str(exc))
-        s_j = _power(om, -scaling.delta) * config.s_star
-        trace.append(ItmIteration(len(trace), h_star, g, om, s_j))
-        endpoints.append(ep)
-        return None
+        s_j, w0, dw0 = recover_values(omega, scaling, endpoint, config.s_star)
+        trace.append(ItmIteration(j, h_star, gamma_val, omega, s_j))
+        x_old, f_old, x_prev, f_prev = x_prev, f_prev, x_cur, f_cur
+        x_cur = math.log(h_star)
+        f_cur = x_cur - sigma * math.log(omega)
+        if j == 0:  # the stopping tests need two iterates
+            h_star = config.h1
+            continue
 
-    def residual(it: ItmIteration) -> tuple[float, float]:
-        """(x, F) = (log h*, log h* - sigma log omega) of an iterate."""
-        x = math.log(it.h_star)
-        return x, x - sigma * math.log(it.omega)
-
-    def finished(status: ItmStatus, it: ItmIteration) -> ItmResult:
-        s, w0, dw0 = recover_values(it.omega, scaling, endpoints[it.j], config.s_star)
-        w0, dw0 = problem.to_original(0.0, w0, dw0)
-        return ItmResult(status=status, omega=it.omega, h_star=it.h_star, s=s, w0=w0, dw0=dw0,
-                         trace=trace)
-
-    # burn-in pair: Gamma must be evaluable at both guesses
-    for h_star in (config.h0, config.h1):
-        if (failure := evaluate(h_star)) is not None:
-            return failure
-
-    while True:
-        prev, cur = trace[-2:]
-        if abs(cur.gamma_val) <= tol and abs(cur.s_j - prev.s_j) <= tol:
-            return finished(ItmStatus.CONVERGED, cur)
-        if cur.j >= config.max_iter:
-            return finished(ItmStatus.MAX_ITER_EXCEEDED, cur)
-        (x_prev, f_prev), (x_cur, f_cur) = residual(prev), residual(cur)
+        converged = abs(gamma_val) <= tol and abs(s_j - trace[-2].s_j) <= tol
+        if converged or j >= config.max_iter:
+            w0, dw0 = problem.to_original(0.0, w0, dw0)
+            return ItmResult(status=ItmStatus.CONVERGED if converged
+                             else ItmStatus.MAX_ITER_EXCEEDED,
+                             omega=omega, h_star=h_star, s=s_j, w0=w0, dw0=dw0, trace=trace)
         if f_cur == f_prev:
-            return failed(ItmStatus.SECANT_BREAKDOWN, cur.h_star,
+            return failed(ItmStatus.SECANT_BREAKDOWN, h_star,
                           f"flat residual: log(1 + Gamma) = {f_cur!r} at h* = "
-                          f"{prev.h_star!r} and at h* = {cur.h_star!r}")
+                          f"{trace[-2].h_star!r} and at h* = {h_star!r}")
         x_next, step = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev), "secant"
-        if cur.j >= 2:
+        if j >= 2 and f_old != f_prev and f_old != f_cur:
             # inverse quadratic interpolation in Newton's form: the secant step
             # plus the term of the second divided difference of x over F
-            x_old, f_old = residual(trace[-3])
-            if f_old != f_prev and f_old != f_cur:
-                curvature = ((x_cur - x_prev) / (f_cur - f_prev)
-                             - (x_prev - x_old) / (f_prev - f_old)) / (f_cur - f_old)
-                x_iqi = x_next + f_cur * f_prev * curvature
-                if math.isfinite(x_iqi) and abs(x_iqi - x_cur) <= 2.0 * abs(x_next - x_cur):
-                    x_next, step = x_iqi, "interpolation"
+            curvature = ((x_cur - x_prev) / (f_cur - f_prev)
+                         - (x_prev - x_old) / (f_prev - f_old)) / (f_cur - f_old)
+            x_iqi = x_next + f_cur * f_prev * curvature
+            if math.isfinite(x_iqi) and abs(x_iqi - x_cur) <= 2.0 * abs(x_next - x_cur):
+                x_next, step = x_iqi, "interpolation"
         if not abs(x_next) <= _MAX_LOG_H:
-            return failed(ItmStatus.SECANT_BREAKDOWN, cur.h_star,
-                          f"{step} step from h* = {cur.h_star!r} to log h* = "
+            return failed(ItmStatus.SECANT_BREAKDOWN, h_star,
+                          f"{step} step from h* = {h_star!r} to log h* = "
                           f"{x_next!r} leaves the floating-point range")
-        if (failure := evaluate(math.exp(x_next))) is not None:
-            return failure
+        h_star = math.exp(x_next)

@@ -50,8 +50,8 @@ def neumann_eta_w(S: float) -> float:
     direction, then polished with a few Newton steps on the equation in log
     form; the returned root has residual <= 1e-12.
     """
-    if not S > 0.0:
-        raise InvalidParams(f"S must be positive, got {S}")
+    if not 0.0 < S < math.inf:
+        raise InvalidParams(f"S must be positive and finite, got {S}")
     lo, hi = 1e-12, 4.0
     while _front_equation(S, hi) < 0.0:
         lo, hi = hi, 2.0 * hi
@@ -81,7 +81,7 @@ def neumann_profile(eta: float, eta_w: float) -> State2:
     U = 1 - erf(eta/2)/erf(eta_w/2);
     dU/deta = -(1/sqrt(pi)) exp(-eta^2/4) / erf(eta_w/2).
     """
-    if eta_w <= 0.0 or eta < 0.0 or eta > eta_w:
+    if not (eta_w > 0.0 and 0.0 <= eta <= eta_w):  # nan fails
         raise InvalidParams(f"eta = {eta} outside [0, {eta_w}]")
     denom = erf(eta_w / 2.0)
     u = 1.0 - erf(eta / 2.0) / denom
@@ -101,7 +101,7 @@ def exact_spreading(eta: float, H: float = 0.5, L: float = -0.5) -> State2:
     if not (H > 0.0 and L < 0.0):
         raise InvalidParams(f"the closed form needs H > 0 and L < 0, got H = {H}, L = {L}")
     eta_w = -L / H
-    if eta < 0.0 or eta > eta_w:
+    if not 0.0 <= eta <= eta_w:  # nan fails
         raise InvalidParams(f"eta = {eta} outside [0, {eta_w}]")
     u = (H ** 3 + 0.3 * (eta_w - eta) * (eta_w + eta)) ** (1.0 / 3.0)
     du = -eta / (5.0 * u * u)

@@ -27,7 +27,6 @@ __all__ = [
     "SimilarityExponents",
     "PhysicalProfile",
     "gamma_from_alpha",
-    "alpha_from_beta",
     "check_invariance",
     "reconstruct_physical",
 ]
@@ -81,21 +80,6 @@ def gamma_from_alpha(n: float, alpha: float) -> float:
     return 2.0 / denom
 
 
-def alpha_from_beta(n: float, beta: float) -> float:
-    """Dirichlet exponent implied by a Neumann exponent beta.
-
-    Solving the origin balance alpha*gamma - 1 = gamma*beta together with
-    gamma = 2 / (n alpha + 1) gives alpha = (2 beta + 1) / (2 - n). The
-    formula printed in the source paper, (beta + 1) / (2 - n - n beta),
-    disagrees with that balance: for n = 0, beta = -1/2 it gives 0.25 where
-    the balance requires 0.
-    """
-    denom = 2.0 - n
-    if denom == 0.0:
-        raise InvalidParams(f"degenerate denominator for n={n}, beta={beta}")
-    return (2.0 * beta + 1.0) / denom
-
-
 def check_invariance(exps: SimilarityExponents) -> list[float]:
     """Residuals of the exponent-balance relations for the scaling group.
 
@@ -103,7 +87,9 @@ def check_invariance(exps: SimilarityExponents) -> list[float]:
     group leaves the PDE and the origin condition invariant. The PDE balance
     is gamma*(n*alpha + 1) - 2; the origin balance is zero by construction in
     the Dirichlet case and alpha*gamma - 1 - gamma*beta in the Neumann case
-    (defined as zero when the coefficient B vanishes).
+    (defined as zero when the coefficient B vanishes). The source paper's
+    printed alpha = (beta + 1) / (2 - n - n beta) disagrees with that balance,
+    which with gamma = 2 / (n alpha + 1) gives alpha = (2 beta + 1) / (2 - n).
     """
     pde = exps.gamma * (exps.n * exps.alpha + 1.0) - 2.0
     if exps.origin_kind is OriginKind.DIRICHLET or exps.coefficient == 0.0:

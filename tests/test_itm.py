@@ -42,6 +42,31 @@ def constant_problem(boundary_value):
     )
 
 
+@pytest.fixture(scope="module")
+def stefan_sweep():
+    """(S, result) for the benchmark's 61-case sweep S = 10^(k/10), k = -30..30."""
+    solves = []
+    for k in range(-30, 31):
+        S = 10.0 ** (k / 10)
+        problem, scaling = make_stefan(StefanParams(S=S))
+        h0, h1 = stefan_default_guesses(S)
+        solves.append((S, secant_solve(problem, scaling,
+                                       ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1))))
+    return solves
+
+
+@pytest.fixture(scope="module")
+def spreading_grid():
+    """(scaling, result) for the 5x6 spreading grid of test_problems."""
+    solves = []
+    for H in (0.1, 0.25, 0.5, 1.0, 2.0):
+        for L in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0):
+            problem, scaling = make_spreading(SpreadingParams(H=H, L=L))
+            config = ItmConfig(s_star=0.5, step=5e-4, h0=0.5, h1=0.1)
+            solves.append((scaling, secant_solve(problem, scaling, config)))
+    return solves
+
+
 @pytest.mark.parametrize("s_star, h_star", list(GAMMA_SPREADING))
 def test_evaluate_gamma_spreading(spreading_problem, s_star, h_star):
     problem, scaling = spreading_problem
@@ -192,6 +217,25 @@ def test_stopping_pair_satisfies_both_clauses(stefan_s1):
     assert abs(last.s_j - prev.s_j) <= 1e-6
 
 
+def test_finished_solve_is_its_last_iterate(stefan_sweep, spreading_grid):
+    # every converged or max_iter_exceeded result of the Stefan sweep, the
+    # spreading grid and Stefan S = 1 stopped at max_iter = 1, 2, 3
+    results = [r for _, r in stefan_sweep] + [r for _, r in spreading_grid]
+    problem, scaling = make_stefan(StefanParams(S=1.0))
+    for max_iter in (1, 2, 3):
+        result = secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=30.0,
+                                                          h1=40.0, max_iter=max_iter))
+        assert result.status is ItmStatus.MAX_ITER_EXCEEDED and result.iterations == max_iter
+        results.append(result)
+    finished = [r for r in results
+                if r.status in (ItmStatus.CONVERGED, ItmStatus.MAX_ITER_EXCEEDED)]
+    assert sum(r.converged for r in finished) >= 61
+    for result in finished:
+        last = result.trace[-1]
+        assert (result.h_star, result.omega, result.s) == (last.h_star, last.omega, last.s_j)
+        assert result.iterations == len(result.trace) - 1
+
+
 def test_fixed_point_consistency(stefan_s1):
     h = stefan_s1.omega ** -4.0 * stefan_s1.h_star
     assert abs(h - 1.0) <= 1e-6
@@ -304,15 +348,10 @@ def residual_problem(F):
 UNIT_SCALING = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
 
 
-def test_first_iterate_after_the_guesses_is_the_secant_step():
+def test_first_iterate_after_the_guesses_is_the_secant_step(spreading_grid):
     # interpolation starts at j = 3, so j = 2 keeps its bits: the spreading
     # grid of test_problems and the Table 1 rows
-    solves = []
-    for H in (0.1, 0.25, 0.5, 1.0, 2.0):
-        for L in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0):
-            problem, scaling = make_spreading(SpreadingParams(H=H, L=L))
-            config = ItmConfig(s_star=0.5, step=5e-4, h0=0.5, h1=0.1)
-            solves.append((scaling, secant_solve(problem, scaling, config)))
+    solves = list(spreading_grid)
     for S, (h0, h1) in STEFAN_GUESSES.items():
         problem, scaling = make_stefan(StefanParams(S=S))
         config = ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1)
@@ -350,18 +389,12 @@ def test_interpolation_far_beyond_the_secant_step_falls_back_to_it():
     assert result.trace[3].h_star == math.exp(x_secant)
 
 
-def test_stefan_sweep_gamma_evaluations():
+def test_stefan_sweep_gamma_evaluations(stefan_sweep):
     # the 61-case sweep of the benchmark: 366 evaluations with the secant alone
-    evaluations = 0
-    for k in range(-30, 31):
-        S = 10.0 ** (k / 10)
-        problem, scaling = make_stefan(StefanParams(S=S))
-        h0, h1 = stefan_default_guesses(S)
-        result = secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1))
+    for S, result in stefan_sweep:
         assert result.converged
         assert abs(result.s - neumann_eta_w(S)) <= 1e-6
-        evaluations += len(result.trace)
-    assert evaluations <= 339
+    assert sum(len(result.trace) for _, result in stefan_sweep) <= 339
 
 
 def test_omega_non_positive_is_a_status():

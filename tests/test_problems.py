@@ -172,7 +172,7 @@ def test_stefan_sweep_converges_to_neumann_root(k):
 
 # Outcome per (H, L) on the spreading grid at s* = 0.5, step 5e-4, guesses
 # 0.5/0.1; columns are L = -2, -1, -0.5, 0, 0.5, 1. C: converged;
-# S: singular_integration at a burn-in guess; B: secant_breakdown.
+# S: singular_integration at a guess h0 or h1; B: secant_breakdown.
 SPREAD_GRID_L = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
 SPREAD_GRID = {
     0.1: "SSSSSS",

@@ -19,3 +19,5 @@ def test_internal_and_deleted_names_are_not_exported():
     assert "DomainExit" not in itmfree.__all__
     # the flux and height helpers at the origin are gone: no caller, and a wrong flux formula
     assert not [name for name in itmfree.__all__ if name.endswith("_at_origin")]
+    # alpha_from_beta had no caller; check_invariance's docstring keeps its formula
+    assert "alpha_from_beta" not in itmfree.__all__

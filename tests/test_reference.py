@@ -105,6 +105,9 @@ def test_neumann_eta_w_rejects_bad_s():
         neumann_eta_w(0.0)
     with pytest.raises(InvalidParams):
         neumann_eta_w(-3.0)
+    for S in (math.inf, math.nan):
+        with pytest.raises(InvalidParams, match="positive and finite"):
+            neumann_eta_w(S)
 
 
 def test_neumann_profile_endpoints():
@@ -124,6 +127,9 @@ def test_neumann_profile_domain():
         neumann_profile(1.1, 1.0)
     with pytest.raises(InvalidParams, match="outside"):
         neumann_profile(0.0, 0.0)
+    for eta, eta_w in ((math.nan, 1.0), (0.5, math.nan)):
+        with pytest.raises(InvalidParams, match="outside"):
+            neumann_profile(eta, eta_w)
 
 
 def test_neumann_profile_derivative_consistency():
@@ -179,6 +185,8 @@ def test_exact_spreading_domain():
         exact_spreading(-1e-9)
     with pytest.raises(InvalidParams, match="outside"):
         exact_spreading(1.0 + 1e-9)
+    with pytest.raises(InvalidParams, match="outside"):
+        exact_spreading(math.nan)
 
 
 def test_asymptotic_lookup():

@@ -10,7 +10,6 @@ from itmfree.problems import spreading_exponents, stefan_exponents
 from itmfree.similarity import (
     OriginKind,
     SimilarityExponents,
-    alpha_from_beta,
     check_invariance,
     gamma_from_alpha,
     reconstruct_physical,
@@ -36,8 +35,9 @@ def test_gamma_from_alpha_degenerate():
 @given(st.floats(min_value=-2.0, max_value=1.5),
        st.floats(min_value=-2.0, max_value=2.0))
 def test_alpha_from_beta_zeroes_origin_residual(n, beta):
-    # with B != 0 the Neumann origin balance must hold for the returned alpha
-    alpha = alpha_from_beta(n, beta)
+    # with B != 0 the Neumann origin balance alpha*gamma - 1 = gamma*beta and
+    # gamma = 2 / (n alpha + 1) give alpha = (2 beta + 1) / (2 - n)
+    alpha = (2.0 * beta + 1.0) / (2.0 - n)
     if abs(n * alpha + 1.0) < 1e-3:
         return
     gamma = gamma_from_alpha(n, alpha)
@@ -47,11 +47,6 @@ def test_alpha_from_beta_zeroes_origin_residual(n, beta):
     scale = 1.0 + abs(gamma) * (abs(alpha) + abs(beta))
     assert abs(pde) <= 1e-12 * scale
     assert abs(origin) <= 1e-12 * scale
-
-
-def test_alpha_from_beta_degenerate():
-    with pytest.raises(InvalidParams, match="degenerate denominator for n=2.0, beta=0.0"):
-        alpha_from_beta(2.0, 0.0)  # 2 - n = 0
 
 
 def test_dirichlet_origin_rejects_beta():
