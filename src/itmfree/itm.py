@@ -143,6 +143,8 @@ class ItmConfig:
         for h in (self.h0, self.h1):
             if not 0.0 < h < math.inf:
                 raise InvalidParams(f"initial guess {h} must be positive and finite")
+        if self.max_iter < 1:  # the solve evaluates iterate 1 before it tests the bound
+            raise InvalidParams(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

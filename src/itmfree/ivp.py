@@ -96,15 +96,18 @@ def _rk4(rhs: Rhs, coef: Any, z_start: float, y_start: State2, z_end: float, n_s
         for i in range(1, n_steps + 1):
             # keep the grid exact: the step ends on an abscissa computed from its index
             z_next = z_start + i * h if i < n_steps else z_end
+            z_mid = z + h2
             a1 = rhs(coef, z, w, dw)
             dw2 = dw + h2 * a1
-            a2 = rhs(coef, z + h2, w + h2 * dw, dw2)
+            a2 = rhs(coef, z_mid, w + h2 * dw, dw2)
             dw3 = dw + h2 * a2
-            a3 = rhs(coef, z + h2, w + h2 * dw2, dw3)
+            a3 = rhs(coef, z_mid, w + h2 * dw2, dw3)
             dw4 = dw + h * a3
             a4 = rhs(coef, z + h, w + h * dw3, dw4)
-            w += h6 * (dw + 2 * dw2 + 2 * dw3 + dw4)
-            dw += h6 * (a1 + 2 * a2 + 2 * a3 + a4)
+            # each weight 2 * k is written k + k: the same double, but a float
+            # add, which CPython specialises, where it does not specialise int * float
+            w += h6 * (dw + (dw2 + dw2) + (dw3 + dw3) + dw4)
+            dw += h6 * (a1 + (a2 + a2) + (a3 + a3) + a4)
             z = z_next
             if not (isfinite(w) and isfinite(dw)):
                 raise SingularRhs(z)
@@ -112,7 +115,7 @@ def _rk4(rhs: Rhs, coef: Any, z_start: float, y_start: State2, z_end: float, n_s
                 zs.append(z)
                 ws.append(w)
                 dws.append(dw)
-    except OverflowError:  # float ** overflows with an error, not to inf
+    except OverflowError:  # a float ** in the rhs overflows with an error, not to inf
         raise SingularRhs(z_next) from None
 
     profile = SolutionProfile(tuple(zs), tuple(ws), tuple(dws)) if record else None

@@ -113,6 +113,11 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
     exponents are delta = 1/2, sigma = 1, and the origin condition g = V' = 1
     has weight 1 - delta = 1/2, so omega = V*'(0)^2, defined only for
     V*'(0) > 0. Profiles and recovered values are mapped back to U = V - eta.
+
+    The RHS forms its powers of W = V - h^(1/2) eta as products, which stay
+    on plain float arithmetic where ``**`` calls pow. Where W^3 overflows to
+    inf, the W^-3 term falls to 0 and c/W^2 is negligible, so the RHS is its
+    finite limit -3 W'^2/W instead of an error.
     """
     H, L = params.H, params.L
     slope = L / (5.0 * H ** 3) + 1.0
@@ -124,7 +129,8 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
             # (V - h^(1/2) eta)^(-3) blows up; diagnose instead of NaN
             raise SingularRhs(z, f"V - h^(1/2) eta = {u} <= 0 at eta = {z}")
         du = dw - sh
-        return -3.0 * du * du / u - c * z * du / u ** 3 - c / u ** 2
+        uu = u * u
+        return -3.0 * du * du / u - c * z * du / (uu * u) - c / uu
 
     problem = ReducedFreeBvp(
         origin_condition=lambda w, dw: dw,

@@ -373,6 +373,8 @@ def test_unread_flags_are_rejected(capsys, argv):
     # a Neumann origin with B != 0 and no beta passed its origin balance unchecked
     (["check-invariance", "--n", "3", "--alpha", "-0.2", "--coefficient", "1",
       "--origin", "neumann"], "a Neumann origin with coefficient=1.0 needs a beta"),
+    # it ran, and reported more iterations than the bound
+    (["stefan", "--max-iter", "0"], "max_iter must be at least 1, got 0"),
 ])
 def test_non_finite_params_rejected(capsys, argv, message):
     code, out, err = run(capsys, argv)

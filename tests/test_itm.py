@@ -441,6 +441,8 @@ def test_config_validation():
         dict(tol=math.nan),
         dict(step=10.0),  # a step longer than s_star would be one step of length s_star
         dict(s_star=1e300, step=1e-10),  # s_star/step overflows: no finite step count
+        dict(max_iter=0),  # iterate 1 is evaluated before the bound is tested
+        dict(max_iter=-3),
     ):
         with pytest.raises(InvalidParams):
             ItmConfig(**{**dict(s_star=0.5, step=1e-3, h0=1.0, h1=2.0), **kwargs})

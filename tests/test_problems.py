@@ -71,6 +71,41 @@ def test_spreading_positivity_guard():
     assert exc.value.abscissa == 1.0
 
 
+def test_spreading_rhs_finite_where_cube_overflows():
+    # W = V - h^(1/2) eta ~ 1e103: W^2 is finite, W^3 overflows to inf, so the
+    # W^-3 term is 0, c/W^2 is below half an ulp of 3 W'^2/W, and the RHS is
+    # that finite limit, not an OverflowError
+    problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
+    coef = problem.coefficients(4.0)
+    sh = coef[0]
+    for z, big in ((0.0, 1e103), (0.3, 7e102), (1.0, 1e200)):
+        w, dw = big + sh * z, 1.5 + sh
+        u, du = w - sh * z, dw - sh
+        assert problem.extended_rhs(coef, z, w, dw) == -3.0 * du * du / u
+
+
+@settings(max_examples=300, deadline=None)
+@given(W=st.floats(1e-3, 1e3), D=st.floats(-1e3, 1e3), z=st.floats(0.0, 10.0),
+       h=st.floats(1e-4, 1e4))
+def test_spreading_rhs_accuracy(W, D, z, h):
+    # the RHS -3 D^2/W - c z D/W^3 - c/W^2 in float arithmetic is within a few
+    # roundings of each term of its 40-digit value; W and D are the shifted
+    # values as the RHS itself forms them from (w, w')
+    mpmath = pytest.importorskip("mpmath")
+    problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
+    coef = problem.coefficients(h)
+    sh, c = coef
+    w, dw = W + sh * z, D + sh
+    W, D = w - sh * z, dw - sh
+    got = problem.extended_rhs(coef, z, w, dw)
+    with mpmath.workdps(40):
+        mW, mD, mz, mc = (mpmath.mpf(v) for v in (W, D, z, c))
+        terms = (-3 * mD * mD / mW, -mc * mz * mD / mW ** 3, -mc / mW ** 2)
+        err = abs(mpmath.mpf(got) - mpmath.fsum(terms))
+        bound = 8 * mpmath.mpf(2) ** -53 * mpmath.fsum(abs(t) for t in terms)
+    assert err <= bound, (got, float(err), float(bound))
+
+
 def test_stefan_full_solve_s10():
     problem, scaling = make_stefan(StefanParams(S=10.0))
     h0, h1 = STEFAN_GUESSES[10.0]
