@@ -24,8 +24,8 @@ __all__ = [
 ]
 
 # Initial secant guesses (h0, h1) per inverse Stefan number, as used for the
-# tabulated runs; unlisted S fall back to an estimate scaled from the
-# large-S front position.
+# tabulated runs; unlisted S fall back to a pair that brackets the root,
+# from the large-S limit of the front position (stefan_default_guesses).
 STEFAN_GUESSES: dict[float, tuple[float, float]] = {
     0.1: (600.0, 700.0),
     0.5: (100.0, 150.0),
@@ -144,19 +144,25 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
 
 
 def stefan_default_guesses(S: float) -> tuple[float, float]:
-    """Secant starting pair for a given S.
+    """Secant starting pair for a given S, meant for s* = 1/2.
 
-    Tabulated values reproduce the reference runs; otherwise the pair is
-    scaled from a closed-form estimate of the front position. Raises
-    InvalidParams when that estimate of h* underflows.
+    Tabulated values reproduce the reference runs; otherwise the pair
+    (h_U, 0.75 h_U) brackets the root, from the large-S limit of the Neumann
+    relation. Raises InvalidParams when that estimate of h* underflows or
+    overflows.
     """
     if S in STEFAN_GUESSES:
         return STEFAN_GUESSES[S]
-    # eta_w ~ 2 sqrt(ln(1 + 1/(sqrt(pi) S))): exact to ~6% for large S and a
-    # mild overestimate for small S; converted via omega = eta_w / s*, s* = 1/2.
-    # log1p: for S > ~6e15, 1 + 1/(sqrt(pi) S) rounds to 1
-    lam = math.sqrt(math.log1p(1.0 / (math.sqrt(math.pi) * S)))
-    h_est = (4.0 * lam) ** 4
-    if not 0.5 * h_est > 0.0:
+    # lambda = eta_w/2 solves sqrt(pi) lambda e^(lambda^2) erf(lambda) = 1/S;
+    # as S -> inf, lambda^2 = log(1 + 1/(2S)) to leading order. Converted via
+    # omega = eta_w / s*, s* = 1/2: h_U = (4 lambda)^4. On S = 10^(k/40) from
+    # 2.8e-309 to 1e150 the root lies in [0.7576 h_U, (1 + 1.1e-15) h_U].
+    # log1p: for S > ~5e15, 1 + 1/(2S) rounds to 1
+    lam2 = math.log1p(0.5 / S)
+    h_est = 256.0 * lam2 * lam2
+    h1 = 0.75 * h_est
+    if h_est == math.inf:
+        raise InvalidParams(f"the estimated root h* = {h_est!r} overflows for S = {S!r}")
+    if not h1 < h_est:  # 0, or a subnormal too coarse to hold the pair apart
         raise InvalidParams(f"the estimated root h* = {h_est!r} underflows for S = {S!r}")
-    return h_est, 0.5 * h_est
+    return h_est, h1

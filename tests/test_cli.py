@@ -332,7 +332,7 @@ def test_human_report_prints_nine_significant_digits(capsys):
     code, out, _ = run(capsys, ["stefan", "--S", "1e160"])
     assert code == 2
     assert "  S: 1e+160\n" in out.split("config:")[0]
-    assert "  h0: 8.14872351e-319\n" in out
+    assert "  h0: 6.39997816e-319\n" in out
 
 
 def test_human_report_prints_an_empty_trace_as_its_heading(capsys):
@@ -375,6 +375,10 @@ def test_unread_flags_are_rejected(capsys, argv):
       "--origin", "neumann"], "a Neumann origin with coefficient=1.0 needs a beta"),
     # it ran, and reported more iterations than the bound
     (["stefan", "--max-iter", "0"], "max_iter must be at least 1, got 0"),
+    # from S = 2.3e162 the estimate is a subnormal so coarse that 0.75 h* rounds back to it
+    (["stefan", "--S", "3e162"], "the estimated root h* = 5e-324 underflows for S = 3e+162"),
+    # 1/(2S) overflows: the pair would be (inf, inf)
+    (["stefan", "--S", "1e-310"], "the estimated root h* = inf overflows for S = 1e-310"),
 ])
 def test_non_finite_params_rejected(capsys, argv, message):
     code, out, err = run(capsys, argv)

@@ -173,6 +173,21 @@ def test_default_guesses_tabulated():
     assert stefan_default_guesses(50.0) == (1e-3, 1e-2)
 
 
+def test_default_guesses_bracket_the_root():
+    # S = 10^(k/40) from the smallest S whose 1/(2S) is finite (k = -12342,
+    # S = 2.8e-309) to 1e150; the estimate is exact as S -> inf, so its side
+    # of the bracket holds only to rounding
+    for k in range(-12342, 6001):
+        S = 10.0 ** (k / 40)
+        if S in STEFAN_GUESSES:
+            continue
+        h0, h1 = stefan_default_guesses(S)
+        root = (neumann_eta_w(S) / 0.5) ** 4
+        assert h1 < root <= h0 * (1.0 + 1e-14), S
+    with pytest.raises(InvalidParams, match="overflows"):
+        stefan_default_guesses(10.0 ** (-12343 / 40))
+
+
 @pytest.mark.parametrize("S", [0.2, 0.7, 2.0, 8.0, 20.0])
 def test_default_guesses_untabulated_converge(S):
     problem, scaling = make_stefan(StefanParams(S=S))
