@@ -104,7 +104,7 @@ PROBLEMS: dict[str, ProblemSpec] = {
         outputs=(("eta_w", "s"), ("dU0", "dw0")),
         references=_stefan_references,
         exponents=stefan_exponents,
-        rows=tuple({"S": S} for S in STEFAN_GUESSES),
+        rows=tuple({"S": S, "h0": h0, "h1": h1} for S, (h0, h1) in STEFAN_GUESSES.items()),
         row=_stefan_row,
     ),
     "spread": ProblemSpec(
@@ -278,8 +278,8 @@ def cmd_check_invariance(args: argparse.Namespace) -> Output:
 
 _FLAGS: dict[str, dict[str, Any]] = {
     "--format": dict(choices=["table", "csv", "json"], default="table"),
-    "--tol": dict(type=float, default=1e-6),
-    "--max-iter": dict(type=int, default=50),
+    "--tol": dict(type=float, default=ItmConfig.tol),
+    "--max-iter": dict(type=int, default=ItmConfig.max_iter),
     "--trace": dict(action="store_true"),
     "--out": dict(type=str, default=None),
     # solver flags; None resolves to the problem's default

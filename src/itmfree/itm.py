@@ -207,7 +207,7 @@ def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     # ItmConfig keeps 0 < step <= s* and s*/step finite, so this is at least 1
     n_steps = round(s_star / config.step)
     res = integrate_inward(problem.extended_rhs, problem.coefficients(h_star),
-                           s_star, y_start, 0.0, n_steps)
+                           s_star, y_start, n_steps)
     ratio = problem.origin_condition(*res.endpoint) / problem.origin_constant
     if not ratio > 0.0:
         raise OmegaNonPositive(f"g(w*(0), w*'(0))/C = {ratio} at h* = {h_star} is not positive")
@@ -245,7 +245,7 @@ def original_profile(problem: ReducedFreeBvp, s: float, n_steps: int) -> Solutio
     increasing abscissa.
     """
     y_start = State2(*problem.extended_boundary(1.0, s))
-    prof = integrate_inward(problem.extended_rhs, problem.coefficients(1.0), s, y_start, 0.0,
+    prof = integrate_inward(problem.extended_rhs, problem.coefficients(1.0), s, y_start,
                             n_steps, record_profile=True).profile
     eta = prof.eta[::-1]
     u, du = zip(*map(problem.to_original, eta, prof.u[::-1], prof.du[::-1]))

@@ -44,9 +44,9 @@ class IntegrationResult:
     profile: Optional[SolutionProfile] = None
 
 
-def integrate_inward(rhs: Rhs, coef: Any, z_start: float, y_start: State2, z_end: float,
-                     n_steps: int, record_profile: bool = False) -> IntegrationResult:
-    """Integrate w'' = rhs(coef, z, w, w') from z_start down to z_end with classical RK4.
+def integrate_inward(rhs: Rhs, coef: Any, z_start: float, y_start: State2, n_steps: int,
+                     record_profile: bool = False) -> IntegrationResult:
+    """Integrate w'' = rhs(coef, z, w, w') from z_start down to the origin with classical RK4.
 
     Parameters
     ----------
@@ -55,19 +55,19 @@ def integrate_inward(rhs: Rhs, coef: Any, z_start: float, y_start: State2, z_end
     coef : object
         Handed unchanged to every rhs call: the constants of this initial value
         problem, computed once by the caller instead of once per call.
-    z_start, z_end : float
-        Integration interval; z_end < z_start (inward).
+    z_start : float
+        Where the integration starts; z_start > 0 (inward to z = 0).
     y_start : State2
         Initial state at z_start.
     n_steps : int
-        Number of fixed steps; the (negative) step is (z_end - z_start)/n_steps.
+        Number of fixed steps; the (negative) step is -z_start/n_steps.
     record_profile : bool
         When True the result carries every accepted step.
 
     Raises
     ------
     InvalidParams
-        If n_steps < 1 or the interval does not point inward.
+        If n_steps < 1 or z_start is not positive.
     SingularRhs
         If the start state is not finite (at z_start), or if a step overflows
         or ends in a non-finite state (at the abscissa that step ends on).
@@ -76,26 +76,21 @@ def integrate_inward(rhs: Rhs, coef: Any, z_start: float, y_start: State2, z_end
     """
     if n_steps < 1:
         raise InvalidParams("n_steps must be >= 1")
-    if not z_end < z_start:
-        raise InvalidParams("inward integration requires z_end < z_start")
+    if not z_start > 0.0:
+        raise InvalidParams(f"inward integration requires z_start > 0, got {z_start}")
     if not (math.isfinite(y_start.w) and math.isfinite(y_start.dw)):
         raise SingularRhs(z_start, f"start state (w, w') = ({y_start.w!r}, {y_start.dw!r}) "
                                    f"at z = {z_start!r} is not finite")
-    return _rk4(rhs, coef, z_start, y_start, z_end, n_steps, record_profile)
-
-
-def _rk4(rhs: Rhs, coef: Any, z_start: float, y_start: State2, z_end: float, n_steps: int,
-         record: bool) -> IntegrationResult:
     z, (w, dw) = z_start, y_start
-    h = (z_end - z_start) / n_steps
+    h = -z_start / n_steps
     h2, h6 = h / 2, h / 6
     isfinite = math.isfinite
-    if record:
+    if record_profile:
         zs, ws, dws = [z], [w], [dw]
     try:
         for i in range(1, n_steps + 1):
             # keep the grid exact: the step ends on an abscissa computed from its index
-            z_next = z_start + i * h if i < n_steps else z_end
+            z_next = z_start + i * h if i < n_steps else 0.0
             z_mid = z + h2
             a1 = rhs(coef, z, w, dw)
             dw2 = dw + h2 * a1
@@ -111,12 +106,12 @@ def _rk4(rhs: Rhs, coef: Any, z_start: float, y_start: State2, z_end: float, n_s
             z = z_next
             if not (isfinite(w) and isfinite(dw)):
                 raise SingularRhs(z)
-            if record:
+            if record_profile:
                 zs.append(z)
                 ws.append(w)
                 dws.append(dw)
     except OverflowError:  # a float ** in the rhs overflows with an error, not to inf
         raise SingularRhs(z_next) from None
 
-    profile = SolutionProfile(tuple(zs), tuple(ws), tuple(dws)) if record else None
+    profile = SolutionProfile(tuple(zs), tuple(ws), tuple(dws)) if record_profile else None
     return IntegrationResult(endpoint=State2(w, dw), steps_taken=n_steps, profile=profile)

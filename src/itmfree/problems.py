@@ -23,9 +23,10 @@ __all__ = [
     "STEFAN_GUESSES",
 ]
 
-# Initial secant guesses (h0, h1) per inverse Stefan number, as used for the
-# tabulated runs; unlisted S fall back to a pair that brackets the root,
-# from the large-S limit of the front position (stefan_default_guesses).
+# The paper's Table 1 run settings: the secant guesses (h0, h1) of its run at
+# each inverse Stefan number, which ``itmfree table stefan`` passes as
+# overrides. Every other solve starts from stefan_default_guesses, one rule
+# for every S that brackets the root, as the S = 50 pair here does not.
 STEFAN_GUESSES: dict[float, tuple[float, float]] = {
     0.1: (600.0, 700.0),
     0.5: (100.0, 150.0),
@@ -146,13 +147,11 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
 def stefan_default_guesses(S: float) -> tuple[float, float]:
     """Secant starting pair for a given S, meant for s* = 1/2.
 
-    Tabulated values reproduce the reference runs; otherwise the pair
-    (h_U, 0.75 h_U) brackets the root, from the large-S limit of the Neumann
-    relation. Raises InvalidParams when that estimate of h* underflows or
-    overflows.
+    One rule for every S: the pair (h_U, 0.75 h_U) brackets the root, from
+    the large-S limit of the Neumann relation. (The paper's Table 1 pairs are
+    run settings, kept in STEFAN_GUESSES.) Raises InvalidParams when that
+    estimate of h* underflows or overflows.
     """
-    if S in STEFAN_GUESSES:
-        return STEFAN_GUESSES[S]
     # lambda = eta_w/2 solves sqrt(pi) lambda e^(lambda^2) erf(lambda) = 1/S;
     # as S -> inf, lambda^2 = log(1 + 1/(2S)) to leading order. Converted via
     # omega = eta_w / s*, s* = 1/2: h_U = (4 lambda)^4. On S = 10^(k/40) from

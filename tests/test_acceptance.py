@@ -280,7 +280,7 @@ def test_criterion_6_rk4_order_property():
     rhs = lambda _, z, w, dw: w
     errors = {}
     for n in (50, 100, 200, 400):
-        res = integrate_inward(rhs, None, 1.0, State2(math.e, math.e), 0.0, n)
+        res = integrate_inward(rhs, None, 1.0, State2(math.e, math.e), n)
         errors[n] = abs(res.endpoint.w - 1.0)
     for n in (50, 100, 200):
         ratio = errors[n] / errors[2 * n]

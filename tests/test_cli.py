@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from itmfree import cli
 from itmfree.cli import main
+from itmfree.problems import stefan_default_guesses
 
 
 def run(capsys, argv):
@@ -46,8 +47,9 @@ def test_stefan_trace(capsys):
     code, out, _ = run(capsys, ["stefan", "--format", "json", "--trace"])
     assert code == 0
     trace = json.loads(out)["result"]["trace"]
-    assert trace[0]["j"] == 0 and trace[0]["h_star"] == 30.0
-    assert trace[1]["j"] == 1 and trace[1]["h_star"] == 40.0
+    h0, h1 = stefan_default_guesses(1.0)
+    assert trace[0]["j"] == 0 and trace[0]["h_star"] == h0
+    assert trace[1]["j"] == 1 and trace[1]["h_star"] == h1
     assert abs(trace[-1]["gamma"]) <= 1e-6
 
 
@@ -217,7 +219,7 @@ def test_failed_solve_reports_its_status(capsys, argv, code, status):
 
 
 NON_CONVERGING = [
-    (["table", "stefan", "--max-iter", "2"], "row S=0.1"),
+    (["table", "stefan", "--max-iter", "2"], "row S=0.1,h0=600.0,h1=700.0"),
     (["profile", "--max-iter", "2"], "solve"),
     (["reconstruct", "--t", "4", "--max-iter", "2"], "solve"),
 ]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from itmfree.errors import InvalidParams
 from itmfree.itm import (
@@ -32,13 +33,13 @@ GAMMA_SPREADING = {
 
 
 def constant_problem(boundary_value):
-    """w'' = 0 and w' = 0, so w*(0) = boundary_value(h*) exactly and, with
-    g = w, C = 1 and weight 1, omega = boundary_value(h*)."""
+    """w'' = 0 and w' = 0, so w*(0) = boundary_value(h*, s*) exactly and, with
+    g = w, C = 1 and weight 1, omega = boundary_value(h*, s*)."""
     return ReducedFreeBvp(
         origin_condition=lambda w, dw: w,
         origin_constant=1.0,
         extended_rhs=lambda h, z, w, dw: 0.0,
-        extended_boundary=lambda h, s: (boundary_value(h), 0.0),
+        extended_boundary=lambda h, s: (boundary_value(h, s), 0.0),
     )
 
 
@@ -185,7 +186,7 @@ def test_origin_constant_and_weight_must_be_finite_and_nonzero():
     # shifted first) and a weight k != 0
     for value in (0.0, math.inf, -math.inf, math.nan):
         with pytest.raises(InvalidParams, match="origin constant must be finite and nonzero"):
-            dataclasses.replace(constant_problem(lambda h: 1.0), origin_constant=value)
+            dataclasses.replace(constant_problem(lambda h, s: 1.0), origin_constant=value)
         with pytest.raises(InvalidParams, match="origin weight must be finite and nonzero"):
             ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=value)
 
@@ -307,7 +308,7 @@ def test_coefficients_run_once_per_integration():
 def test_secant_breakdown():
     # omega = 2 h* makes Gamma = h*/(2 h*) - 1 = -1/2 for every h*: the log
     # residual log h* - log(2 h*) is flat, exactly or to one rounding
-    problem = constant_problem(lambda h: 2.0 * h)
+    problem = constant_problem(lambda h, s: 2.0 * h)
     scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
 
     def solve(h1):
@@ -342,7 +343,7 @@ def secant_x(older, newer, sigma=1.0):
 
 def residual_problem(F):
     """A constant problem whose log residual at x = log h* is F(x) (sigma = 1)."""
-    return constant_problem(lambda h: h * math.exp(-F(math.log(h))))
+    return constant_problem(lambda h, s: h * math.exp(-F(math.log(h))))
 
 
 UNIT_SCALING = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
@@ -398,10 +399,50 @@ def test_stefan_sweep_gamma_evaluations(stefan_sweep):
     assert sum(len(result.trace) for _, result in stefan_sweep) <= 299
 
 
+def _stefan_case(S):
+    problem, scaling = make_stefan(StefanParams(S=S))
+    h0, h1 = stefan_default_guesses(S)
+    return problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1), 1e-13
+
+
+def _spreading_case(H, L):
+    # the shifted slope 1 + L/(5 H^3) loses digits as H grows against |L|: at
+    # H = 2 and small |L| the two sides differ by up to 1.2e-12; the scaled
+    # shift of ROADMAP item 2 should tighten this bound to 1e-13
+    problem, scaling = make_spreading(SpreadingParams(H=H, L=L))
+    return problem, scaling, ItmConfig(s_star=0.5, step=5e-4, h0=0.5, h1=0.1), 1e-11
+
+
+def _linear_case(s_star):
+    # w*(0) = h*^2/s* is invariant under z -> omega z, w -> omega w,
+    # h -> omega h: the root is h* = s*, where s = 1
+    problem = constant_problem(lambda h, s: h * h / s)
+    return problem, UNIT_SCALING, ItmConfig(s_star=s_star, step=s_star / 10, h0=2.0, h1=0.5), 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.one_of(st.builds(_stefan_case, st.floats(1e-3, 1e3)),
+                      st.builds(_spreading_case, st.floats(0.25, 2.0), st.floats(-2.0, -0.1)),
+                      st.builds(_linear_case, st.floats(0.1, 10.0))),
+       lam=st.floats(0.01, 100.0))
+def test_solve_commutes_with_the_stretching_group(case, lam):
+    # RK4 with n fixed steps on [0, s*] commutes with z -> lam z, so a solve at
+    # lam s*, lam step and guesses mapped by h* -> lam^(sigma/delta) h* takes the
+    # same path: the same status after the same iterates, and the same s up to rounding
+    problem, scaling, config, rel = case
+    mu = lam ** (scaling.sigma / scaling.delta)
+    scaled = ItmConfig(s_star=lam * config.s_star, step=lam * config.step,
+                       h0=mu * config.h0, h1=mu * config.h1)
+    assert round(scaled.s_star / scaled.step) == round(config.s_star / config.step)
+    a, b = (secant_solve(problem, scaling, c) for c in (config, scaled))
+    assert (a.status, a.iterations) == (b.status, b.iterations)
+    assert abs(a.s - b.s) <= rel * a.s or (math.isnan(a.s) and math.isnan(b.s))
+
+
 def test_omega_non_positive_is_a_status():
     # g/C = w*(0) = 1 - h*, which is -1 at h1 = 2
     scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
-    result = secant_solve(constant_problem(lambda h: 1.0 - h), scaling,
+    result = secant_solve(constant_problem(lambda h, s: 1.0 - h), scaling,
                           ItmConfig(s_star=1.0, step=0.1, h0=0.5, h1=2.0))
     assert result.status is ItmStatus.OMEGA_NON_POSITIVE
     assert result.h_star == 2.0 and len(result.trace) == 1  # h1 failed, index 1
@@ -412,7 +453,7 @@ def test_omega_non_positive_is_a_status():
 def test_omega_beyond_float_range_is_a_status():
     # g/C = 1e300 is positive, but omega = (g/C)^(1/k) = 1e3000 for k = 0.1
     scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=0.1)
-    result = secant_solve(constant_problem(lambda h: 1e300), scaling,
+    result = secant_solve(constant_problem(lambda h, s: 1e300), scaling,
                           ItmConfig(s_star=1.0, step=0.1, h0=0.5, h1=2.0))
     assert result.status is ItmStatus.OMEGA_NON_POSITIVE
     assert result.h_star == 0.5 and result.trace == []

@@ -5,7 +5,6 @@ import pytest
 
 from itmfree.errors import InvalidParams, SingularRhs
 from itmfree.ivp import State2, integrate_inward
-from itmfree.ivp import _rk4
 from itmfree.problems import SpreadingParams, StefanParams, make_spreading, make_stefan
 
 
@@ -41,7 +40,7 @@ def _reference_rk4(rhs, coef, z0, y0, z1, n_steps):
 def test_exact_on_linear_solution():
     # w'' = 0 is a polynomial of degree 1; RK4 reproduces it exactly
     rhs = lambda _, z, w, dw: 0.0
-    res = integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), 0.0, 10)
+    res = integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), 10)
     assert res.endpoint.w == pytest.approx(-1.0, abs=1e-12)
     assert res.endpoint.dw == pytest.approx(1.0, abs=1e-12)
 
@@ -49,7 +48,7 @@ def test_exact_on_linear_solution():
 def test_exact_on_cubic():
     # w = z^3: w'' = 6z, also integrated exactly by RK4
     rhs = lambda _, z, w, dw: 6.0 * z
-    res = integrate_inward(rhs, None, 1.0, State2(1.0, 3.0), 0.0, 7)
+    res = integrate_inward(rhs, None, 1.0, State2(1.0, 3.0), 7)
     assert res.endpoint.w == pytest.approx(0.0, abs=1e-15)
     assert res.endpoint.dw == pytest.approx(0.0, abs=1e-15)
 
@@ -59,7 +58,7 @@ def test_exponential_fourth_order_decay():
     rhs = lambda _, z, w, dw: w
     errs = []
     for n in (50, 100, 200):
-        res = integrate_inward(rhs, None, 1.0, State2(math.e, math.e), 0.0, n)
+        res = integrate_inward(rhs, None, 1.0, State2(math.e, math.e), n)
         errs.append(abs(res.endpoint.w - 1.0))
     for coarse, fine in zip(errs, errs[1:]):
         assert 14.0 <= coarse / fine <= 18.0
@@ -72,7 +71,7 @@ def test_stefan_extended_endpoint_matches_quadrature():
     hs = 37.843777
     rhs = lambda h, z, w, dw: -0.5 * math.sqrt(h) * z * dw
     y0 = State2(0.0, -(hs ** 0.75 / 2.0) * 1.0 * 0.5)
-    res = integrate_inward(rhs, hs, 0.5, y0, 0.0, 500)
+    res = integrate_inward(rhs, hs, 0.5, y0, 500)
     omega = res.endpoint.w
     assert omega == pytest.approx(2.4803125025213273, abs=1e-10)
     # the recovered h = omega^-4 h* sits within 1e-4 of 1 at this h*
@@ -81,7 +80,7 @@ def test_stefan_extended_endpoint_matches_quadrature():
 
 def test_profile_bookkeeping():
     rhs = lambda _, z, w, dw: w
-    res = integrate_inward(rhs, None, 1.0, State2(1.0, 0.0), 0.0, 25, record_profile=True)
+    res = integrate_inward(rhs, None, 1.0, State2(1.0, 0.0), 25, record_profile=True)
     assert res.steps_taken == 25
     assert res.profile is not None
     assert len(res.profile) == 26
@@ -95,12 +94,14 @@ def test_profile_bookkeeping():
 def test_reversal_consistency():
     rhs = lambda _, z, w, dw: w
     start = State2(2.0, -1.0)
-    inward = _rk4(rhs, None, 1.0, start, 0.0, 64, record=False)
-    back = _rk4(rhs, None, 0.0, inward.endpoint, 1.0, 64, record=False)
+    inward = integrate_inward(rhs, None, 1.0, start, 64).endpoint
+    # back out to z = 1 as an inward pass in t = 1 - z: v(t) = w(1 - t) has
+    # v'' = v and v' = -w', and each step's arithmetic only flips signs
+    back = integrate_inward(rhs, None, 1.0, State2(inward.w, -inward.dw), 64).endpoint
     # RK4 is not time-symmetric, so the round trip cancels only to the
     # truncation error of a single pass (~h^4)
-    assert abs(back.endpoint.w - start.w) <= 1e-9
-    assert abs(back.endpoint.dw - start.dw) <= 1e-9
+    assert abs(back.w - start.w) <= 1e-9
+    assert abs(-back.dw - start.dw) <= 1e-9
 
 
 def test_singular_rhs_reports_abscissa():
@@ -112,7 +113,7 @@ def test_singular_rhs_reports_abscissa():
             return 0.0
 
         with pytest.raises(SingularRhs) as exc:
-            integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), 0.0, 100)
+            integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), 100)
         assert 0.0 <= exc.value.abscissa <= 0.51
     # non-finite only at the midpoint 0.505 of the step 0.51 -> 0.50: the stage
     # value makes that step's state non-finite, reported where the step ends
@@ -121,26 +122,27 @@ def test_singular_rhs_reports_abscissa():
             return bad if abs(z - 0.505) < 1e-9 else 0.0
 
         with pytest.raises(SingularRhs) as exc:
-            integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), 0.0, 100)
+            integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), 100)
         assert exc.value.abscissa == 0.5
 
 
 def test_determinism():
     rhs = lambda _, z, w, dw: -0.5 * z * dw
-    a = integrate_inward(rhs, None, 0.5, State2(0.0, -1.0), 0.0, 500)
-    b = integrate_inward(rhs, None, 0.5, State2(0.0, -1.0), 0.0, 500)
+    a = integrate_inward(rhs, None, 0.5, State2(0.0, -1.0), 500)
+    b = integrate_inward(rhs, None, 0.5, State2(0.0, -1.0), 500)
     assert a.endpoint == b.endpoint
 
 
 def test_direction_and_step_validation():
     rhs = lambda _, z, w, dw: 0.0
-    with pytest.raises(InvalidParams, match="inward integration requires z_end < z_start"):
-        integrate_inward(rhs, None, 0.0, State2(0.0, 1.0), 1.0, 10)
+    for z_start in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidParams, match="inward integration requires z_start > 0"):
+            integrate_inward(rhs, None, z_start, State2(0.0, 1.0), 10)
     with pytest.raises(InvalidParams, match="n_steps must be >= 1"):
-        integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), 0.0, 0)
+        integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), 0)
     for start in (State2(float("inf"), 1.0), State2(0.0, float("nan"))):
         with pytest.raises(SingularRhs) as exc:
-            integrate_inward(rhs, None, 1.0, start, 0.0, 10)
+            integrate_inward(rhs, None, 1.0, start, 10)
         assert exc.value.abscissa == 1.0
 
 
@@ -154,7 +156,7 @@ def test_matches_reference_rk4_bit_for_bit(make, params, h_star, n_steps):
     start = State2(*problem.extended_boundary(h_star, 0.5))
     rhs, coef = problem.extended_rhs, problem.coefficients(h_star)
     expected_end, expected = _reference_rk4(rhs, coef, 0.5, start, 0.0, n_steps)
-    res = integrate_inward(rhs, coef, 0.5, start, 0.0, n_steps, record_profile=True)
+    res = integrate_inward(rhs, coef, 0.5, start, n_steps, record_profile=True)
     assert res.endpoint == expected_end
     assert (res.profile.eta, res.profile.u, res.profile.du) == expected
 
@@ -165,6 +167,6 @@ def test_recorded_profile_matches_reference_rk4_bit_for_bit():
     start = State2(*problem.extended_boundary(1.0, 1.0))
     rhs, coef = problem.extended_rhs, problem.coefficients(1.0)
     expected_end, expected = _reference_rk4(rhs, coef, 1.0, start, 0.0, 200)
-    res = integrate_inward(rhs, coef, 1.0, start, 0.0, 200, record_profile=True)
+    res = integrate_inward(rhs, coef, 1.0, start, 200, record_profile=True)
     assert res.endpoint == expected_end
     assert (res.profile.eta, res.profile.u, res.profile.du) == expected

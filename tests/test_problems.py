@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from itmfree.cli import main
 from itmfree.errors import InvalidParams, SingularRhs
 from itmfree.itm import ItmConfig, ItmStatus, evaluate_gamma, original_profile, secant_solve
 from itmfree.ivp import State2
@@ -168,19 +170,24 @@ def test_stefan_s_star_independence():
     assert a.dw0 == pytest.approx(b.dw0, abs=1e-6)
 
 
-def test_default_guesses_tabulated():
-    assert stefan_default_guesses(1.0) == (30.0, 40.0)
-    assert stefan_default_guesses(50.0) == (1e-3, 1e-2)
+def test_table_stefan_runs_the_paper_pairs(capsys):
+    # the Table 1 pairs are the table's run settings: each row is the library
+    # solve from its STEFAN_GUESSES pair, bit for bit
+    assert main(["table", "stefan", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["S"] for row in rows] == list(STEFAN_GUESSES)
+    for row, (S, (h0, h1)) in zip(rows, STEFAN_GUESSES.items()):
+        problem, scaling = make_stefan(StefanParams(S=S))
+        result = secant_solve(problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1))
+        assert result.converged
+        assert (row["h_star"], row["dU0"], row["eta_w"]) == (result.h_star, result.dw0, result.s)
 
 
 def test_default_guesses_bracket_the_root():
     # S = 10^(k/40) from the smallest S whose 1/(2S) is finite (k = -12342,
-    # S = 2.8e-309) to 1e150; the estimate is exact as S -> inf, so its side
-    # of the bracket holds only to rounding
-    for k in range(-12342, 6001):
-        S = 10.0 ** (k / 40)
-        if S in STEFAN_GUESSES:
-            continue
+    # S = 2.8e-309) to 1e150, and the six S of Table 1; the estimate is exact
+    # as S -> inf, so its side of the bracket holds only to rounding
+    for S in [10.0 ** (k / 40) for k in range(-12342, 6001)] + list(STEFAN_GUESSES):
         h0, h1 = stefan_default_guesses(S)
         root = (neumann_eta_w(S) / 0.5) ** 4
         assert h1 < root <= h0 * (1.0 + 1e-14), S
