@@ -32,7 +32,7 @@ from .itm import ItmConfig, ItmResult, ItmStatus, original_profile, secant_solve
 from .problems import (STEFAN_GUESSES, SpreadingParams, StefanParams, make_spreading,
                        make_stefan, spreading_exponents, stefan_default_guesses,
                        stefan_exponents)
-from .reference import ASYMPTOTIC_ETA_W, asymptotic_eta_w, exact_spreading, neumann_eta_w
+from .reference import ASYMPTOTIC_ETA_W, exact_spreading, neumann_eta_w
 from .similarity import (OriginKind, SimilarityExponents, check_invariance,
                          gamma_from_alpha, reconstruct_physical)
 
@@ -74,13 +74,13 @@ def _stefan_references(p: dict[str, float], result: ItmResult) -> dict[str, floa
     root = neumann_eta_w(p["S"])
     refs = {"neumann_eta_w": root, "delta_neumann": result.s - root}
     if p["S"] in ASYMPTOTIC_ETA_W:
-        asym = asymptotic_eta_w(p["S"])
+        asym = ASYMPTOTIC_ETA_W[p["S"]]
         refs.update(asymptotic_eta_w=asym, delta_asymptotic=result.s - asym)
     return refs
 
 
 def _stefan_row(p: dict[str, float], config: ItmConfig, r: ItmResult) -> dict[str, Any]:
-    asym = asymptotic_eta_w(p["S"])
+    asym = ASYMPTOTIC_ETA_W[p["S"]]
     return {"S": p["S"], "h_star": r.h_star, "dU0": r.dw0, "eta_w": r.s,
             "eta_w_asymptotic": asym, "delta": r.s - asym}
 
@@ -193,7 +193,7 @@ def _emit(doc: Any, fmt: str) -> str:
 
 def _solve(spec: ProblemSpec, opts: dict[str, Any]):
     """Build the problem from ``opts`` (parsed flags plus overrides) and solve it;
-    flags that are absent or None take the spec's defaults."""
+    flags that are absent or None take the spec's defaults, here and nowhere else."""
     def opt(key: str, default: Any) -> Any:
         value = opts.get(key)
         return default if value is None else value
@@ -253,6 +253,10 @@ def cmd_profile(args: argparse.Namespace) -> Output:
     if args.command == "reconstruct" and not 0.0 < args.t < math.inf:
         raise InvalidParams(f"t must be positive and finite, got {args.t}")
     spec = PROBLEMS[args.problem]
+    for other in PROBLEMS.values():
+        for flag in other.params:
+            if flag not in spec.params and getattr(args, flag) is not None:
+                raise InvalidParams(f"--{flag} is not a parameter of {args.problem}")
     problem, _, _, result = _solve(spec, vars(args))
     if not result.converged:
         return _failed(result, "solve"), None
@@ -305,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
         for spec in specs:
-            for flag, (default, flag_help) in spec.params.items():
-                p.add_argument(f"--{flag}", type=float, default=default, help=flag_help)
+            for flag, (_, flag_help) in spec.params.items():
+                p.add_argument(f"--{flag}", type=float, help=flag_help)
         return p
 
     for name, spec in PROBLEMS.items():

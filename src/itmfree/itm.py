@@ -54,10 +54,6 @@ def _identity_output(eta: float, w: float, dw: float) -> tuple[float, float]:
     return w, dw
 
 
-def _h_itself(h: float) -> float:
-    return h
-
-
 def _require_finite_nonzero(name: str, value: float) -> None:
     if not (math.isfinite(value) and value != 0.0):
         raise InvalidParams(f"{name} must be finite and nonzero, got {value}")
@@ -77,9 +73,9 @@ class ReducedFreeBvp:
 
     h is fixed during one integration, so whatever the extended RHS derives
     from it is computed once: ``coefficients(h)`` returns those constants
-    (h itself by default) and ``extended_rhs(coef, z, w, dw)`` returns w'' of
-    the extended problem given them. ``extended_boundary(h, s)`` returns
-    (w(s), w'(s)); at h = 1 both are the original problem.
+    and ``extended_rhs(coef, z, w, dw)`` returns w'' of the extended problem
+    given them. ``extended_boundary(h, s)`` returns (w(s), w'(s)); at h = 1
+    both are the original problem.
     ``origin_condition(w, dw)`` is g in g(w(0), w'(0)) = C, and C is
     ``origin_constant``, finite and nonzero: a homogeneous condition must be
     shifted first. ``to_original(eta, w, dw)`` returns (u, du), undoing that
@@ -92,8 +88,8 @@ class ReducedFreeBvp:
     origin_constant: float
     extended_rhs: Callable[[Any, float, float, float], float]
     extended_boundary: Callable[[float, float], tuple[float, float]]
+    coefficients: Callable[[float], Any]
     to_original: Callable[[float, float, float], tuple[float, float]] = _identity_output
-    coefficients: Callable[[float], Any] = _h_itself
     rhs: Optional[Callable[[float, float, float], float]] = None
 
     def __post_init__(self) -> None:
@@ -265,7 +261,8 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     logarithms, not as log1p(Gamma), which fails when 1 + Gamma underflows.
 
     One loop builds every iterate: one Gamma evaluation, then
-    ``recover_values`` once for s_j (the scaling relations), then (x, F).
+    ``recover_values`` once for s_j (the scaling relations), then (x, F). An
+    iterate at the same h* as the last one reuses its values, evaluating nothing.
     The guesses h0, h1 are iterates 0 and 1, and iterate 2 is the secant
     step. From iterate 3 on, the step is inverse quadratic interpolation
     (Brent 1973, ch. 4): x as a quadratic in F through the last three
@@ -300,13 +297,14 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     h_star = config.h0
     while True:
         j = len(trace)
-        try:
-            gamma_val, omega, endpoint = evaluate_gamma(problem, scaling, h_star, config)
-        except SingularRhs as exc:
-            return failed(ItmStatus.SINGULAR_INTEGRATION, h_star, str(exc), exc.abscissa)
-        except OmegaNonPositive as exc:
-            return failed(ItmStatus.OMEGA_NON_POSITIVE, h_star, str(exc))
-        s_j, w0, dw0 = recover_values(omega, scaling, endpoint, config.s_star)
+        if j == 0 or h_star != trace[-1].h_star:
+            try:
+                gamma_val, omega, endpoint = evaluate_gamma(problem, scaling, h_star, config)
+            except SingularRhs as exc:
+                return failed(ItmStatus.SINGULAR_INTEGRATION, h_star, str(exc), exc.abscissa)
+            except OmegaNonPositive as exc:
+                return failed(ItmStatus.OMEGA_NON_POSITIVE, h_star, str(exc))
+            s_j, w0, dw0 = recover_values(omega, scaling, endpoint, config.s_star)
         trace.append(ItmIteration(j, h_star, gamma_val, omega, s_j))
         x_old, f_old, x_prev, f_prev = x_prev, f_prev, x_cur, f_cur
         x_cur = math.log(h_star)

@@ -20,7 +20,6 @@ __all__ = [
     "neumann_eta_w",
     "neumann_profile",
     "exact_spreading",
-    "asymptotic_eta_w",
     "ASYMPTOTIC_ETA_W",
 ]
 
@@ -106,11 +105,3 @@ def exact_spreading(eta: float, H: float = 0.5, L: float = -0.5) -> State2:
     u = (H ** 3 + 0.3 * (eta_w - eta) * (eta_w + eta)) ** (1.0 / 3.0)
     du = -eta / (5.0 * u * u)
     return State2(u, du)
-
-
-def asymptotic_eta_w(S: float) -> float:
-    """Stored asymptotic front position for the six tabulated S values."""
-    try:
-        return ASYMPTOTIC_ETA_W[S]
-    except KeyError:
-        raise InvalidParams(f"no asymptotic value stored for S = {S}") from None

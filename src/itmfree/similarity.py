@@ -65,7 +65,6 @@ class SimilarityExponents:
 class PhysicalProfile:
     """A solution profile in physical (x, u) variables at a fixed time."""
 
-    t: float
     x: tuple[float, ...]
     u: tuple[float, ...]
     du_dx: tuple[float, ...]
@@ -112,7 +111,6 @@ def reconstruct_physical(profile: SolutionProfile, exps: SimilarityExponents,
     ta = t ** exps.alpha
     tslope = ta / tg
     return PhysicalProfile(
-        t=t,
         x=tuple(eta * tg for eta in profile.eta),
         u=tuple(u * ta for u in profile.u),
         du_dx=tuple(du * tslope for du in profile.du),

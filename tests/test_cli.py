@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from itmfree import cli
 from itmfree.cli import main
 from itmfree.problems import stefan_default_guesses
+from itmfree.reference import neumann_eta_w
 
 
 def run(capsys, argv):
@@ -157,6 +158,42 @@ def test_points_below_one_rejected_before_solving(monkeypatch, capsys, argv):
     assert code == 3
     assert out == ""
     assert err == "error: points must be at least 1, got 0\n"
+
+
+# (subcommand, --problem, a parameter of another problem)
+_FOREIGN = [(argv, problem, flag)
+            for argv in ("profile", "reconstruct --t 4")
+            for problem, spec in cli.PROBLEMS.items()
+            for other in cli.PROBLEMS.values()
+            for flag in other.params if flag not in spec.params]
+
+
+@pytest.mark.parametrize("argv, problem, flag", _FOREIGN)
+def test_foreign_parameter_rejected_before_solving(monkeypatch, capsys, argv, problem, flag):
+    def no_solve(*args):
+        raise AssertionError(f"solved {problem} with --{flag} unread")
+
+    monkeypatch.setattr(cli, "secant_solve", no_solve)
+    code, out, err = run(capsys, argv.split() + ["--problem", problem, f"--{flag}", "1"])
+    assert code == 3
+    assert out == ""
+    assert err == f"error: --{flag} is not a parameter of {problem}\n"
+
+
+@pytest.mark.parametrize("argv, iterations, eta_w, tol", [
+    # the default pairs are meant for s* = 1/2; for another s* they scale by
+    # (s*/0.5)^(sigma/delta): x(2 s*)^2 for spreading, x(2 s*)^-4 for Stefan
+    (["spread", "--s-star", "2", "--h0", "8", "--h1", "1.6"], 5, 1.0, 1e-8),
+    (["stefan", "--S", "1", "--s-star", "4",
+      "--h0", repr(stefan_default_guesses(1.0)[0] / 4096),
+      "--h1", repr(stefan_default_guesses(1.0)[1] / 4096)], 4, neumann_eta_w(1.0), 1e-9),
+])
+def test_s_star_with_scaled_guesses(capsys, argv, iterations, eta_w, tol):
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["iterations"] == iterations
+    assert abs(result["eta_w"] - eta_w) <= tol
 
 
 def test_check_invariance(capsys):
@@ -424,8 +461,8 @@ _FUZZ_FLAGS = {
     "spread": ("--H", "--L", "--h0", "--h1", "--tol"),
     "table stefan": ("--tol",),
     "table spread": ("--tol",),
-    "profile": ("--S", "--H", "--L", "--h0", "--h1", "--tol"),
-    "reconstruct": ("--S", "--H", "--L", "--t", "--h0", "--h1", "--tol"),
+    "profile": (),  # plus the drawn --problem's own flags
+    "reconstruct": ("--t",),
     "check-invariance": ("--n", "--alpha", "--beta", "--gamma", "--coefficient"),
 }
 _REQUIRED = {"--t", "--n", "--alpha"}
@@ -439,7 +476,12 @@ _FLOATS = st.one_of(
 @st.composite
 def _fuzz_argv(draw, command):
     argv = command.split()
-    for flag in _FUZZ_FLAGS[command]:
+    flags = _FUZZ_FLAGS[command]
+    if command in ("profile", "reconstruct"):
+        problem = draw(st.sampled_from(["stefan", "spread"]))
+        argv.append(f"--problem={problem}")
+        flags = _FUZZ_FLAGS[problem] + flags
+    for flag in flags:
         if flag in _REQUIRED or draw(st.booleans()):
             argv.append(f"{flag}={draw(_FLOATS)!r}")  # "=": "-1e-300" is not an option
     if command != "check-invariance":
@@ -448,7 +490,6 @@ def _fuzz_argv(draw, command):
         argv.append("--step=0.05")
     if command in ("profile", "reconstruct"):
         argv.append(f"--points={draw(st.sampled_from([-1, 0, 1, 5]))}")
-        argv.append(f"--problem={draw(st.sampled_from(['stefan', 'spread']))}")
     if command in ("stefan", "spread", "check-invariance"):
         argv.append(f"--format={draw(st.sampled_from(['table', 'csv', 'json']))}")
     if command in ("stefan", "spread") and draw(st.booleans()):
@@ -458,6 +499,7 @@ def _fuzz_argv(draw, command):
 
 @example(argv=["stefan", "--S=1.0", "--h0=1e-290", "--h1=1e-280", "--max-iter=1"])
 @example(argv=["stefan", "--S=1e-300", "--max-iter=1", "--step=0.05"])
+@example(argv=["profile", "--problem=spread", "--S=5.0", "--step=0.05"])
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=st.sampled_from(list(_FUZZ_FLAGS)).flatmap(_fuzz_argv))
 def test_every_float_input_exits_with_a_known_code(argv):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from itmfree import itm
 from itmfree.errors import InvalidParams
 from itmfree.itm import (
     ExtendedScaling,
@@ -40,6 +41,7 @@ def constant_problem(boundary_value):
         origin_constant=1.0,
         extended_rhs=lambda h, z, w, dw: 0.0,
         extended_boundary=lambda h, s: (boundary_value(h, s), 0.0),
+        coefficients=lambda h: h,
     )
 
 
@@ -397,6 +399,19 @@ def test_stefan_sweep_gamma_evaluations(stefan_sweep):
         assert result.converged
         assert abs(result.s - neumann_eta_w(S)) <= 1e-6
     assert sum(len(result.trace) for _, result in stefan_sweep) <= 299
+
+
+def test_repeated_h_star_is_not_integrated_again(monkeypatch):
+    # at S = 1e-300 the step from iterate 5 rounds to the same h*: iterate 6
+    # repeats iterate 5's values, and only 6 of the 7 iterates integrate
+    evaluate, asked = itm.evaluate_gamma, []
+    monkeypatch.setattr(itm, "evaluate_gamma",
+                        lambda *args: asked.append(args[2]) or evaluate(*args))
+    problem, scaling, config, _ = _stefan_case(1e-300)
+    result = secant_solve(problem, scaling, config)
+    assert result.converged and result.iterations == 6
+    assert result.trace[6] == dataclasses.replace(result.trace[5], j=6)
+    assert asked == [it.h_star for it in result.trace[:6]]
 
 
 def _stefan_case(S):

@@ -21,3 +21,5 @@ def test_internal_and_deleted_names_are_not_exported():
     assert not [name for name in itmfree.__all__ if name.endswith("_at_origin")]
     # alpha_from_beta had no caller; check_invariance's docstring keeps its formula
     assert "alpha_from_beta" not in itmfree.__all__
+    # asymptotic_eta_w only wrapped a lookup in ASYMPTOTIC_ETA_W, which the CLI reads directly
+    assert "asymptotic_eta_w" not in itmfree.__all__

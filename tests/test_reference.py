@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from itmfree.errors import InvalidParams
 from itmfree.reference import (
     ASYMPTOTIC_ETA_W,
-    asymptotic_eta_w,
     erf,
     exact_spreading,
     neumann_eta_w,
@@ -190,8 +189,6 @@ def test_exact_spreading_domain():
 
 
 def test_asymptotic_lookup():
-    assert asymptotic_eta_w(1.0) == 1.240161
-    assert asymptotic_eta_w(50.0) == 0.199499
+    assert ASYMPTOTIC_ETA_W[1.0] == 1.240161
+    assert ASYMPTOTIC_ETA_W[50.0] == 0.199499
     assert set(ASYMPTOTIC_ETA_W) == {0.1, 0.5, 1.0, 5.0, 10.0, 50.0}
-    with pytest.raises(InvalidParams, match="no asymptotic value stored for S = 2.0"):
-        asymptotic_eta_w(2.0)
