@@ -37,8 +37,8 @@ print(f"front eta_w : {result.s:.9f}")
 print(f"slope dU(0) : {result.dw0:.9f}")
 
 print("\nsecant trace (j, h*, Gamma, eta_w estimate):")
-for it in result.trace:
-    print(f"  {it.j:2d}  {it.h_star:14.6f}  {it.gamma_val:+.3e}  {it.s_j:.6f}")
+for j, it in enumerate(result.trace):
+    print(f"  {j:2d}  {it.h_star:14.6f}  {it.gamma_val:+.3e}  {it.s_j:.6f}")
 
 # 3. Cross-check against the closed-form solution: eta_w solves
 #    sqrt(pi) S eta_w exp(eta_w^2/4) erf(eta_w/2) = 2.

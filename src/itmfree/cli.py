@@ -1,15 +1,16 @@
 """Command-line front-end.
 
-Subcommands: ``stefan`` and ``spread`` run a single solve and report the
-recovered values against the available references; ``table`` reruns the
-tabulated parameter sets; ``profile`` and ``reconstruct`` emit CSV data for
-the similarity profile and for its physical-variable image at a given time;
-``check-invariance`` prints scaling-group residuals.
+Subcommands: ``stefan`` and ``spread`` run a single solve and report one
+result block, with the same keys for both, against the available references;
+``table`` reruns the tabulated parameter sets; ``profile`` and ``reconstruct``
+emit plain CSV of the similarity profile and of its physical-variable image at
+a given time; ``check-invariance`` prints scaling-group residuals.
 
 Every problem subcommand reads its flags, defaults and references from one
 ``ProblemSpec`` in ``PROBLEMS``. Commands return their exit code and output
 text; ``main`` alone writes it, so a failed run leaves ``--out`` untouched.
-Every output is a dict or a list of row dicts written by ``_emit``.
+Every output is a dict or a list of row dicts written by ``_emit``, whose
+JSON has null for a nan or inf.
 
 Exit codes: 0 success, 2 non-convergence, 3 invalid parameters or an
 ``--out`` that cannot be opened, 4 singular integration; a solve that does
@@ -28,7 +29,7 @@ import time
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import InvalidParams, SingularRhs
-from .itm import ItmConfig, ItmResult, ItmStatus, original_profile, secant_solve
+from .itm import ItmConfig, ItmResult, ItmStatus, _power, original_profile, secant_solve
 from .problems import (STEFAN_GUESSES, SpreadingParams, StefanParams, make_spreading,
                        make_stefan, spreading_exponents, stefan_default_guesses,
                        stefan_exponents)
@@ -63,7 +64,6 @@ class ProblemSpec:
     build: Callable[[dict[str, float]], tuple]
     step: float
     guesses: Callable[[dict[str, float]], tuple[float, float]]
-    outputs: tuple[tuple[str, str], ...]     # report key -> ItmResult attribute
     references: Callable[[dict[str, float], ItmResult], dict[str, float]]
     exponents: Callable[[], SimilarityExponents]
     rows: tuple[dict[str, float], ...]       # tabulated runs as flag overrides
@@ -101,7 +101,6 @@ PROBLEMS: dict[str, ProblemSpec] = {
         build=lambda p: make_stefan(StefanParams(**p)),
         step=1e-3,
         guesses=lambda p: stefan_default_guesses(p["S"]),
-        outputs=(("eta_w", "s"), ("dU0", "dw0")),
         references=_stefan_references,
         exponents=stefan_exponents,
         rows=tuple({"S": S, "h0": h0, "h1": h1} for S, (h0, h1) in STEFAN_GUESSES.items()),
@@ -113,10 +112,9 @@ PROBLEMS: dict[str, ProblemSpec] = {
         build=lambda p: make_spreading(SpreadingParams(**p)),
         step=5e-4,
         guesses=lambda p: (0.5, 0.1),
-        outputs=(("eta_w", "s"), ("U0", "w0")),
         references=_spread_references,
         exponents=spreading_exponents,
-        rows=({"s_star": 0.5}, {"s_star": 1.0}),
+        rows=({"s_star": 0.5}, {"s_star": 1.0, "h0": 0.5, "h1": 0.1}),
         row=lambda p, config, r: {
             "s_star": config.s_star, "gamma0": r.trace[0].gamma_val,
             "gamma1": r.trace[1].gamma_val, "h_star": r.h_star, "U0": r.w0,
@@ -184,8 +182,9 @@ def _csv(grid: list[list[str]]) -> str:
 
 def _emit(doc: Any, fmt: str) -> str:
     """The one writer: a report dict or a list of row dicts in ``fmt``."""
-    if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "json":  # RFC 8259 JSON has no NaN or Infinity: the reparse makes each one null
+        strict = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+        return json.dumps(strict, indent=2) + "\n"
     if fmt == "table":
         return _human(doc)
     return _csv(_grid(doc if isinstance(doc, list) else [_flatten(doc)]))
@@ -200,11 +199,13 @@ def _solve(spec: ProblemSpec, opts: dict[str, Any]):
 
     params = {k: opt(k, default) for k, (default, _) in spec.params.items()}
     problem, scaling = spec.build(params)
-    h0, h1 = opts.get("h0"), opts.get("h1")
+    s_star, h0, h1 = opt("s_star", 0.5), opts.get("h0"), opts.get("h1")
     if h0 is None or h1 is None:
+        # for s* != 1/2 the group maps the pair by (2 s*)^(sigma/delta); ItmConfig rejects s* <= 0
+        scale = _power(s_star / 0.5, scaling.sigma / scaling.delta) if s_star > 0.0 else 1.0
         d0, d1 = spec.guesses(params)
-        h0, h1 = opt("h0", d0), opt("h1", d1)
-    config = ItmConfig(s_star=opt("s_star", 0.5), step=opt("step", spec.step),
+        h0, h1 = opt("h0", scale * d0), opt("h1", scale * d1)
+    config = ItmConfig(s_star=s_star, step=opt("step", spec.step),
                        h0=h0, h1=h1, tol=opts["tol"], max_iter=opts["max_iter"])
     return problem, params, config, secant_solve(problem, scaling, config)
 
@@ -221,12 +222,12 @@ def cmd_solve(args: argparse.Namespace) -> Output:
     t0 = time.perf_counter()
     _, params, config, result = _solve(spec, vars(args))
     elapsed = time.perf_counter() - t0
-    fields = {"status": result.status.value, **{k: getattr(result, k) for k in (
-        "omega", "h_star", "s", "w0", "dw0", "iterations", "message", "abscissa")}}
+    fields = {"status": result.status.value, "omega": result.omega, "h_star": result.h_star,
+              "eta_w": result.s, "U0": result.w0, "dU0": result.dw0,
+              **{k: getattr(result, k) for k in ("iterations", "message", "abscissa")}}
     if args.trace:
-        fields["trace"] = [{"j": it.j, "h_star": it.h_star, "gamma": it.gamma_val,
-                            "omega": it.omega, "s_j": it.s_j} for it in result.trace]
-    fields.update((key, getattr(result, attr)) for key, attr in spec.outputs)
+        fields["trace"] = [{"j": j, "h_star": it.h_star, "gamma": it.gamma_val, "omega": it.omega,
+                            "s_j": it.s_j} for j, it in enumerate(result.trace)]
     report = {"problem": args.command, "params": params, "config": dataclasses.asdict(config),
               "result": fields, "references": spec.references(params, result),
               "wall_time_s": elapsed}
@@ -266,7 +267,7 @@ def cmd_profile(args: argparse.Namespace) -> Output:
                                for eta, u, du in zip(prof.eta, prof.u, prof.du)], "csv")
     phys = reconstruct_physical(prof, spec.exponents(), result.s, args.t)
     rows = [{"x": x, "u": u, "du_dx": du} for x, u, du in zip(phys.x, phys.u, phys.du_dx)]
-    return EXIT_OK, f"# t={_cell(args.t)} x_w={_cell(phys.x_w)}\n" + _emit(rows, "csv")
+    return EXIT_OK, _emit(rows, "csv")
 
 
 def cmd_check_invariance(args: argparse.Namespace) -> Output:

@@ -134,18 +134,17 @@ class ItmConfig:
                                 f"finite, got {self.step}")
         if not self.tol > 0.0:  # a nan tol could never be met
             raise InvalidParams("tol must be positive")
-        if self.h0 == self.h1:
-            raise InvalidParams("initial guesses h0 and h1 must differ")
         for h in (self.h0, self.h1):
             if not 0.0 < h < math.inf:
                 raise InvalidParams(f"initial guess {h} must be positive and finite")
+        if self.h0 == self.h1:
+            raise InvalidParams("initial guesses h0 and h1 must differ")
         if self.max_iter < 1:  # the solve evaluates iterate 1 before it tests the bound
             raise InvalidParams(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
 class ItmIteration:
-    j: int
     h_star: float
     gamma_val: float
     omega: float
@@ -184,7 +183,7 @@ class ItmResult:
 
     @property
     def iterations(self) -> int:
-        return self.trace[-1].j if self.trace else 0
+        return max(len(self.trace) - 1, 0)
 
 
 def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
@@ -305,7 +304,7 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
             except OmegaNonPositive as exc:
                 return failed(ItmStatus.OMEGA_NON_POSITIVE, h_star, str(exc))
             s_j, w0, dw0 = recover_values(omega, scaling, endpoint, config.s_star)
-        trace.append(ItmIteration(j, h_star, gamma_val, omega, s_j))
+        trace.append(ItmIteration(h_star, gamma_val, omega, s_j))
         x_old, f_old, x_prev, f_prev = x_prev, f_prev, x_cur, f_cur
         x_cur = math.log(h_star)
         f_cur = x_cur - sigma * math.log(omega)

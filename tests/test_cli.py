@@ -15,14 +15,25 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from itmfree import cli
 from itmfree.cli import main
+from itmfree.itm import original_profile
 from itmfree.problems import stefan_default_guesses
 from itmfree.reference import neumann_eta_w
+from itmfree.similarity import reconstruct_physical
 
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _not_json(token):
+    raise ValueError(f"{token} is not RFC 8259 JSON")
+
+
+def strict_loads(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, as RFC 8259 does."""
+    return json.loads(text, parse_constant=_not_json)
 
 
 def test_stefan_default_run(capsys):
@@ -54,13 +65,26 @@ def test_stefan_trace(capsys):
     assert abs(trace[-1]["gamma"]) <= 1e-6
 
 
+RESULT_KEYS = ["status", "omega", "h_star", "eta_w", "U0", "dU0", "iterations", "message",
+               "abscissa"]
+
+
+@pytest.mark.parametrize("argv", [["stefan"], ["spread"], ["stefan", "--S", "1e-300"]])
+def test_both_problems_report_one_set_of_result_keys(capsys, argv):
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert list(strict_loads(out)["result"]) == RESULT_KEYS
+    code, out, _ = run(capsys, argv + ["--format", "json", "--trace"])
+    assert list(strict_loads(out)["result"]) == RESULT_KEYS + ["trace"]
+
+
 def test_spread_json(capsys):
     code, out, _ = run(capsys, ["spread", "--format", "json"])
     assert code == 0
     report = json.loads(out)
     assert report["result"]["U0"] == pytest.approx(0.7518473, abs=1e-6)
     assert report["result"]["eta_w"] == pytest.approx(1.0, abs=1e-6)
-    assert abs(report["result"]["dw0"]) <= 1e-9  # U'(0) = 0, not V'(0) = 1
+    assert abs(report["result"]["dU0"]) <= 1e-9  # U'(0) = 0, not V'(0) = 1
     assert report["references"]["exact_eta_w"] == 1.0
 
 
@@ -126,18 +150,35 @@ def test_reconstruct_contract(capsys):
     code, out, _ = run(capsys, ["reconstruct", "--t", "4.0", "--points", "10"])
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0].startswith("# t=4 x_w=")
-    assert lines[1] == "x,u,du_dx"
-    x_w = float(lines[0].split("x_w=")[1])
+    assert lines[0] == "x,u,du_dx"
+    assert len(lines) == 12  # header + 11 samples
+    x_w = float(lines[-1].split(",")[0])  # the front is the last row
     assert x_w == pytest.approx(2.0 * 1.2401253, abs=1e-5)
-    assert float(lines[-1].split(",")[0]) == pytest.approx(x_w, abs=1e-8)
+
+
+@pytest.mark.parametrize("problem", ["stefan", "spread"])
+@pytest.mark.parametrize("points, t", [(50, 0.3), (100, 1.0), (1000, 4.0), (100, 1e5)])
+def test_reconstruct_is_plain_csv_ending_at_the_front(capsys, problem, points, t):
+    code, out, _ = run(capsys, ["reconstruct", "--problem", problem, "--points", str(points),
+                                "--t", repr(t)])
+    assert code == 0
+    assert out.startswith("x,u,du_dx\n")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == points + 2 and {len(row) for row in rows} == {3}
+    # the front x_w = eta_w t^(1/gamma) is the last row's x, to the bit
+    spec = cli.PROBLEMS[problem]
+    bvp, _, _, result = cli._solve(spec, {"tol": 1e-6, "max_iter": 50})
+    profile = original_profile(bvp, result.s, points)
+    phys = reconstruct_physical(profile, spec.exponents(), result.s, t)
+    assert phys.x[-1] == phys.x_w
+    assert rows[-1][0] == format(phys.x_w, ".9g")
 
 
 def test_reconstruct_identity_at_t1(capsys):
     code_p, out_p, _ = run(capsys, ["profile", "--points", "10"])
     code_r, out_r, _ = run(capsys, ["reconstruct", "--t", "1.0", "--points", "10"])
     assert code_p == 0 and code_r == 0
-    assert out_p.splitlines()[1:] == out_r.splitlines()[2:]
+    assert out_p.splitlines()[1:] == out_r.splitlines()[1:]
 
 
 def test_reconstruct_rejects_nonpositive_t(capsys):
@@ -187,6 +228,9 @@ def test_foreign_parameter_rejected_before_solving(monkeypatch, capsys, argv, pr
     (["stefan", "--S", "1", "--s-star", "4",
       "--h0", repr(stefan_default_guesses(1.0)[0] / 4096),
       "--h1", repr(stefan_default_guesses(1.0)[1] / 4096)], 4, neumann_eta_w(1.0), 1e-9),
+    # without --h0 and --h1 the CLI scales the default pair itself
+    (["spread", "--s-star", "2"], 5, 1.0, 1e-8),
+    (["stefan", "--S", "1", "--s-star", "4"], 4, neumann_eta_w(1.0), 1e-9),
 ])
 def test_s_star_with_scaled_guesses(capsys, argv, iterations, eta_w, tol):
     code, out, _ = run(capsys, argv + ["--format", "json"])
@@ -240,7 +284,7 @@ def test_custom_tol_reaches_tighter_stop(capsys):
 def test_failed_solve_reports_its_status(capsys, argv, code, status):
     exit_code, out, err = run(capsys, argv + ["--format", "json"])
     assert exit_code == code
-    result = json.loads(out)["result"]
+    result = strict_loads(out)["result"]
     assert result["status"] == status
     detail = f": {result['message']}" if result["message"] else ""
     assert err == f"error: solve did not converge: {status}{detail}\n"
@@ -250,7 +294,7 @@ def test_failed_solve_reports_its_status(capsys, argv, code, status):
         assert str(result["abscissa"]) in result["message"]
     elif status == "secant_breakdown":
         assert result["message"].startswith(f"secant step from h* = {result['h_star']!r}")
-        assert math.isnan(result["abscissa"])
+        assert result["abscissa"] is None  # nan, which JSON writes as null
     else:
         assert result["message"] == "" and result["iterations"] == 2
 
@@ -359,12 +403,14 @@ def test_human_report_heads_each_block(capsys):
     result = lines.index("result:")
     assert lines[result - 1] == "  max_iter: 50"  # the last config line
     assert lines[result + 1] == "  status: converged"
+    assert lines[result + 4:result + 7] == [
+        "  eta_w: 1.24012527", "  U0: 1", "  dU0: -0.910777075"]
     trace = lines.index("  trace:")
+    assert lines[trace - 1] == "  abscissa: nan"
     assert lines[trace + 1].split() == ["j", "h_star", "gamma", "omega", "s_j"]
-    rows = lines[trace + 2:lines.index("  eta_w: 1.24012527")]
+    rows = lines[trace + 2:lines.index("references:")]
     assert [row.split()[0] for row in rows] == ["0", "1", "2", "3", "4"]
     assert all(row.startswith("    ") for row in rows)
-    assert lines.index("references:") > lines.index("  dU0: -0.910777075")
 
 
 def test_human_report_prints_nine_significant_digits(capsys):
@@ -380,7 +426,7 @@ def test_human_report_prints_an_empty_trace_as_its_heading(capsys):
     lines = out.splitlines()
     trace = lines.index("  trace:")
     assert lines[trace - 1] == "  abscissa: 0.4985"
-    assert lines[trace + 1] == "  eta_w: nan"
+    assert lines[trace + 1] == "references:"
 
 
 @pytest.mark.parametrize("argv", [
@@ -418,8 +464,18 @@ def test_unread_flags_are_rejected(capsys, argv):
     (["stefan", "--S", "3e162"], "the estimated root h* = 5e-324 underflows for S = 3e+162"),
     # 1/(2S) overflows: the pair would be (inf, inf)
     (["stefan", "--S", "1e-310"], "the estimated root h* = inf overflows for S = 1e-310"),
+    # an --s-star the default guesses cannot be scaled to: 0.0 ** -4 raises and
+    # (2e200) ** 2 overflows, and 1e200/step would be about 2e203 RK4 steps
+    *[([problem, f"--s-star={value}"], f"s_star must be positive and finite, got {value}")
+      for problem in ("stefan", "spread") for value in ("0.0", "-1.0", "nan", "inf")],
+    (["stefan", "--s-star", "1e200"], "initial guess 0.0 must be positive and finite"),
+    (["spread", "--s-star", "1e200"], "initial guess inf must be positive and finite"),
 ])
-def test_non_finite_params_rejected(capsys, argv, message):
+def test_non_finite_params_rejected(monkeypatch, capsys, argv, message):
+    def no_solve(*args):
+        raise AssertionError("solved a rejected input")
+
+    monkeypatch.setattr(cli, "secant_solve", no_solve)
     code, out, err = run(capsys, argv)
     assert code == 3
     assert out == ""
@@ -433,7 +489,7 @@ def test_non_finite_params_rejected(capsys, argv, message):
 def test_overflowing_start_state_is_singular(capsys, argv):
     code, out, err = run(capsys, argv + ["--format", "json"])
     assert code == 4
-    result = json.loads(out)["result"]
+    result = strict_loads(out)["result"]
     assert result["status"] == "singular_integration"
     assert result["iterations"] == 0 and result["h_star"] == float(argv[-3])
     assert result["abscissa"] == 0.5  # s*: the start state itself is not finite
@@ -448,10 +504,14 @@ def test_overflowing_recovery_exits_2_with_a_report(capsys, argv):
     # omega^(delta - 1) overflows for the tiny omega of the last iterate
     code, out, err = run(capsys, argv + ["--format", "json"])
     assert code == 2
-    result = json.loads(out)["result"]
+    result = strict_loads(out)["result"]
     assert result["status"] == "max_iter_exceeded"
-    assert result["dw0"] == -math.inf and result["w0"] == 1.0
+    assert result["dU0"] is None and result["U0"] == 1.0  # -inf, which JSON writes as null
     assert err == "error: solve did not converge: max_iter_exceeded\n"
+    code, out, _ = run(capsys, argv + ["--format", "csv"])
+    assert code == 2
+    header, row = csv.reader(io.StringIO(out))
+    assert dict(zip(header, row))["result.dU0"] == "-inf"
 
 
 # Numeric flags per subcommand. --step and --s-star are held fixed: the step
@@ -500,13 +560,17 @@ def _fuzz_argv(draw, command):
 @example(argv=["stefan", "--S=1.0", "--h0=1e-290", "--h1=1e-280", "--max-iter=1"])
 @example(argv=["stefan", "--S=1e-300", "--max-iter=1", "--step=0.05"])
 @example(argv=["profile", "--problem=spread", "--S=5.0", "--step=0.05"])
+@example(argv=["stefan", "--S=1e-300", "--max-iter=1", "--step=0.05", "--format=json"])
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=st.sampled_from(list(_FUZZ_FLAGS)).flatmap(_fuzz_argv))
 def test_every_float_input_exits_with_a_known_code(argv):
     # in-process, so an escaping exception fails the test instead of exiting 1
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 2, 3, 4)
+    if "--format=json" in argv and out.getvalue():
+        strict_loads(out.getvalue())
 
 
 def test_cli_import_leaves_numpy_unloaded():
