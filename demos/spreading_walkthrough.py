@@ -11,22 +11,23 @@ Run:  python3 demos/spreading_walkthrough.py
 """
 
 from itmfree import (
-    ItmConfig,
     SpreadingParams,
     exact_spreading,
     make_spreading,
     original_profile,
     reconstruct_physical,
+    run_config,
     secant_solve,
 )
 from itmfree.problems import spreading_exponents
 
 problem, scaling = make_spreading(SpreadingParams(H=0.5, L=-0.5))
 
-# The recovered front must not depend on the arbitrary starred boundary s*.
-for s_star in (0.5, 1.0):
-    config = ItmConfig(s_star=s_star, step=5e-4, h0=0.5, h1=0.1)
-    result = secant_solve(problem, scaling, config)
+# The recovered front must not depend on the arbitrary starred boundary s*:
+# run_config keeps the problem's 1,000 RK4 steps and maps the secant pair by the
+# stretching group, so each s* takes the same iterations to the same front.
+for s_star in (0.5, 1.0, 4.0):
+    result = secant_solve(problem, scaling, run_config(problem, scaling, s_star=s_star))
     print(f"s* = {s_star}: {result.status.value} after {result.iterations} "
           f"iterations, eta_w = {result.s:.9f}, U(0) = {result.w0:.9f}")
 

@@ -10,15 +10,14 @@ Run:  python3 demos/stefan_walkthrough.py
 """
 
 from itmfree import (
-    ItmConfig,
     StefanParams,
     make_stefan,
     neumann_eta_w,
     neumann_profile,
     original_profile,
     reconstruct_physical,
+    run_config,
     secant_solve,
-    stefan_default_guesses,
 )
 from itmfree.problems import stefan_exponents
 
@@ -27,10 +26,9 @@ S = 1.0  # inverse Stefan number: latent heat / sensible heat
 # 1. Build the reduced free boundary problem and its scaling embedding.
 problem, scaling = make_stefan(StefanParams(S=S))
 
-# 2. Solve: one inward RK4 integration per secant iteration on Gamma(h*).
-h0, h1 = stefan_default_guesses(S)
-config = ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1)
-result = secant_solve(problem, scaling, config)
+# 2. Solve: one inward RK4 integration per secant iteration on Gamma(h*), from
+#    the problem's run settings (s* = 1/2, 500 RK4 steps, the estimated pair).
+result = secant_solve(problem, scaling, run_config(problem, scaling))
 
 print(f"status      : {result.status.value} after {result.iterations} iterations")
 print(f"front eta_w : {result.s:.9f}")

@@ -6,11 +6,11 @@ result block, with the same keys for both, against the available references;
 emit plain CSV of the similarity profile and of its physical-variable image at
 a given time; ``check-invariance`` prints scaling-group residuals.
 
-Every problem subcommand reads its flags, defaults and references from one
-``ProblemSpec`` in ``PROBLEMS``. Commands return their exit code and output
-text; ``main`` alone writes it, so a failed run leaves ``--out`` untouched.
-Every output is a dict or a list of row dicts written by ``_emit``, whose
-JSON has null for a nan or inf.
+Every problem subcommand takes its parameters and references from one
+``ProblemSpec`` in ``PROBLEMS`` and its run settings from ``run_config``.
+Commands return their exit code and output text; ``main`` alone writes it,
+so a failed run leaves ``--out`` untouched. Every output is a dict or a list
+of row dicts written by ``_emit``, whose JSON has null for a nan or inf.
 
 Exit codes: 0 success, 2 non-convergence, 3 invalid parameters or an
 ``--out`` that cannot be opened, 4 singular integration; a solve that does
@@ -29,10 +29,9 @@ import time
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import InvalidParams, SingularRhs
-from .itm import ItmConfig, ItmResult, ItmStatus, _power, original_profile, secant_solve
+from .itm import ItmConfig, ItmResult, ItmStatus, original_profile, run_config, secant_solve
 from .problems import (STEFAN_GUESSES, SpreadingParams, StefanParams, make_spreading,
-                       make_stefan, spreading_exponents, stefan_default_guesses,
-                       stefan_exponents)
+                       make_stefan, spreading_exponents, stefan_exponents)
 from .reference import ASYMPTOTIC_ETA_W, exact_spreading, neumann_eta_w
 from .similarity import (OriginKind, SimilarityExponents, check_invariance,
                          gamma_from_alpha, reconstruct_physical)
@@ -62,8 +61,6 @@ class ProblemSpec:
     help: str
     params: dict[str, tuple[float, str]]     # flag name -> (default, help)
     build: Callable[[dict[str, float]], tuple]
-    step: float
-    guesses: Callable[[dict[str, float]], tuple[float, float]]
     references: Callable[[dict[str, float], ItmResult], dict[str, float]]
     exponents: Callable[[], SimilarityExponents]
     rows: tuple[dict[str, float], ...]       # tabulated runs as flag overrides
@@ -99,8 +96,6 @@ PROBLEMS: dict[str, ProblemSpec] = {
         help="solve the one-phase Stefan problem",
         params={"S": (1.0, "inverse Stefan number")},
         build=lambda p: make_stefan(StefanParams(**p)),
-        step=1e-3,
-        guesses=lambda p: stefan_default_guesses(p["S"]),
         references=_stefan_references,
         exponents=stefan_exponents,
         rows=tuple({"S": S, "h0": h0, "h1": h1} for S, (h0, h1) in STEFAN_GUESSES.items()),
@@ -110,11 +105,9 @@ PROBLEMS: dict[str, ProblemSpec] = {
         help="solve the viscous spreading problem",
         params={"H": (0.5, "fluid height at the front"), "L": (-0.5, "slope constant")},
         build=lambda p: make_spreading(SpreadingParams(**p)),
-        step=5e-4,
-        guesses=lambda p: (0.5, 0.1),
         references=_spread_references,
         exponents=spreading_exponents,
-        rows=({"s_star": 0.5}, {"s_star": 1.0, "h0": 0.5, "h1": 0.1}),
+        rows=({"s_star": 0.5}, {"s_star": 1.0, "step": 5e-4, "h0": 0.5, "h1": 0.1}),
         row=lambda p, config, r: {
             "s_star": config.s_star, "gamma0": r.trace[0].gamma_val,
             "gamma1": r.trace[1].gamma_val, "h_star": r.h_star, "U0": r.w0,
@@ -191,22 +184,13 @@ def _emit(doc: Any, fmt: str) -> str:
 
 
 def _solve(spec: ProblemSpec, opts: dict[str, Any]):
-    """Build the problem from ``opts`` (parsed flags plus overrides) and solve it;
-    flags that are absent or None take the spec's defaults, here and nowhere else."""
-    def opt(key: str, default: Any) -> Any:
-        value = opts.get(key)
-        return default if value is None else value
-
-    params = {k: opt(k, default) for k, (default, _) in spec.params.items()}
+    """Build the problem from ``opts`` (parsed flags plus overrides) and solve it; an
+    absent or None flag takes the spec's parameter default or the problem's run setting."""
+    params = {k: default if opts.get(k) is None else opts[k]
+              for k, (default, _) in spec.params.items()}
     problem, scaling = spec.build(params)
-    s_star, h0, h1 = opt("s_star", 0.5), opts.get("h0"), opts.get("h1")
-    if h0 is None or h1 is None:
-        # for s* != 1/2 the group maps the pair by (2 s*)^(sigma/delta); ItmConfig rejects s* <= 0
-        scale = _power(s_star / 0.5, scaling.sigma / scaling.delta) if s_star > 0.0 else 1.0
-        d0, d1 = spec.guesses(params)
-        h0, h1 = opt("h0", scale * d0), opt("h1", scale * d1)
-    config = ItmConfig(s_star=s_star, step=opt("step", spec.step),
-                       h0=h0, h1=h1, tol=opts["tol"], max_iter=opts["max_iter"])
+    config = run_config(problem, scaling, tol=opts["tol"], max_iter=opts["max_iter"],
+                        **{k: opts.get(k) for k in ("s_star", "step", "h0", "h1")})
     return problem, params, config, secant_solve(problem, scaling, config)
 
 

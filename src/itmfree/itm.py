@@ -40,6 +40,7 @@ __all__ = [
     "ReducedFreeBvp",
     "ExtendedScaling",
     "ItmConfig",
+    "run_config",
     "ItmIteration",
     "ItmStatus",
     "ItmResult",
@@ -48,6 +49,8 @@ __all__ = [
     "recover_values",
     "original_profile",
 ]
+
+_DEFAULT_S_STAR = 0.5  # the starred boundary of every problem's own run settings
 
 
 def _identity_output(eta: float, w: float, dw: float) -> tuple[float, float]:
@@ -78,10 +81,11 @@ class ReducedFreeBvp:
     both are the original problem.
     ``origin_condition(w, dw)`` is g in g(w(0), w'(0)) = C, and C is
     ``origin_constant``, finite and nonzero: a homogeneous condition must be
-    shifted first. ``to_original(eta, w, dw)`` returns (u, du), undoing that
-    shift (identity when no shift was needed). ``rhs(z, w, dw)`` is the
-    h = 1 view of ``extended_rhs`` for callers of the original problem; the
-    solver does not read it.
+    shifted first. ``run_config`` starts from ``steps`` (RK4 steps) and
+    ``guesses`` (secant pair at s* = 1/2). ``to_original(eta, w, dw)`` returns
+    (u, du), undoing that shift (identity when no shift was needed).
+    ``rhs(z, w, dw)`` is the h = 1 view of ``extended_rhs`` for callers of the
+    original problem; the solver does not read it.
     """
 
     origin_condition: Callable[[float, float], float]
@@ -89,6 +93,8 @@ class ReducedFreeBvp:
     extended_rhs: Callable[[Any, float, float, float], float]
     extended_boundary: Callable[[float, float], tuple[float, float]]
     coefficients: Callable[[float], Any]
+    steps: int
+    guesses: tuple[float, float]
     to_original: Callable[[float, float, float], tuple[float, float]] = _identity_output
     rhs: Optional[Callable[[float, float, float], float]] = None
 
@@ -98,6 +104,7 @@ class ReducedFreeBvp:
             object.__setattr__(self, "rhs",
                                lambda z, w, dw: extended_rhs(coefficients(1.0), z, w, dw))
         _require_finite_nonzero("origin constant", self.origin_constant)
+        _require_finite_nonzero("steps", self.steps)  # run_config divides s* by it
 
 
 @dataclass(frozen=True)
@@ -141,6 +148,26 @@ class ItmConfig:
             raise InvalidParams("initial guesses h0 and h1 must differ")
         if self.max_iter < 1:  # the solve evaluates iterate 1 before it tests the bound
             raise InvalidParams(f"max_iter must be at least 1, got {self.max_iter}")
+
+
+def run_config(problem: ReducedFreeBvp, scaling: ExtendedScaling, s_star: Optional[float] = None,
+               step: Optional[float] = None, h0: Optional[float] = None,
+               h1: Optional[float] = None, **rest: Any) -> ItmConfig:
+    """The ItmConfig of the problem's run settings. A given s_star, step, h0 or h1
+    is used as is, and ``rest`` (tol, max_iter) is passed through. At another s*
+    the default keeps ``problem.steps`` steps and maps the default pair by the
+    group, h* -> (s*/0.5)^(sigma/delta) h*. Raises InvalidParams unless the
+    mapped pair is two distinct positive finite floats."""
+    s_star = _DEFAULT_S_STAR if s_star is None else s_star
+    g0, g1 = problem.guesses
+    if (h0 is None or h1 is None) and 0.0 < s_star < math.inf:  # ItmConfig names any other s*
+        scale = _power(s_star / _DEFAULT_S_STAR, scaling.sigma / scaling.delta)
+        g0, g1 = scale * g0, scale * g1
+        if not (0.0 < g0 < math.inf and 0.0 < g1 < math.inf and g0 != g1):
+            raise InvalidParams(f"the default guesses {(g0, g1)!r} at s_star = {s_star!r} are "
+                                "not two distinct positive finite floats")
+    return ItmConfig(s_star=s_star, step=s_star / problem.steps if step is None else step,
+                     h0=g0 if h0 is None else h0, h1=g1 if h1 is None else h1, **rest)
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,8 @@ def integrate_inward(rhs: Rhs, coef: Any, z_start: float, y_start: State2, n_ste
     InvalidParams
         If n_steps < 1 or z_start is not positive.
     SingularRhs
-        If the start state is not finite (at z_start), or if a step overflows
-        or ends in a non-finite state (at the abscissa that step ends on).
+        If the start state is not finite (at z_start), or if a step's arithmetic
+        fails or ends in a non-finite state (at the abscissa that step ends on).
         Every stage value enters the step's sums with a nonzero weight, so a
         non-finite stage makes the new state non-finite.
     """
@@ -110,7 +110,7 @@ def integrate_inward(rhs: Rhs, coef: Any, z_start: float, y_start: State2, n_ste
                 zs.append(z)
                 ws.append(w)
                 dws.append(dw)
-    except OverflowError:  # a float ** in the rhs overflows with an error, not to inf
+    except (OverflowError, ZeroDivisionError):  # ** raises on overflow; a divisor can be 0.0
         raise SingularRhs(z_next) from None
 
     profile = SolutionProfile(tuple(zs), tuple(ws), tuple(dws)) if record_profile else None

@@ -1,6 +1,6 @@
 """Concrete problem builders: the one-phase Stefan problem and the viscous
-gravity-current spreading problem, each reduced to a free boundary ODE and
-paired with its extended scaling group.
+gravity-current spreading problem, each reduced to a free boundary ODE with
+its run settings and paired with its extended scaling group.
 """
 
 from __future__ import annotations
@@ -101,6 +101,8 @@ def make_stefan(params: StefanParams) -> tuple[ReducedFreeBvp, ExtendedScaling]:
         extended_rhs=extended_rhs,
         extended_boundary=lambda h, s: (0.0, -0.5 * h ** 0.75 * S * s),
         coefficients=lambda h: -0.5 * math.sqrt(h),  # the convection coefficient
+        steps=500,
+        guesses=stefan_default_guesses(S),
     )
     return problem, ExtendedScaling(delta=-1.0, sigma=4.0, origin_weight=1.0)
 
@@ -140,6 +142,8 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
         extended_boundary=lambda h, s: (h * H + math.sqrt(h) * s, math.sqrt(h) * slope),
         to_original=lambda eta, w, dw: (w - eta, dw - 1.0),
         coefficients=lambda h: (math.sqrt(h), h * h / 5.0),
+        steps=1000,
+        guesses=(0.5, 0.1),
     )
     return problem, ExtendedScaling(delta=0.5, sigma=1.0, origin_weight=0.5)
 
@@ -149,8 +153,8 @@ def stefan_default_guesses(S: float) -> tuple[float, float]:
 
     One rule for every S: the pair (h_U, 0.75 h_U) brackets the root, from
     the large-S limit of the Neumann relation. (The paper's Table 1 pairs are
-    run settings, kept in STEFAN_GUESSES.) Raises InvalidParams when that
-    estimate of h* underflows or overflows.
+    run settings, kept in STEFAN_GUESSES.) Where h_U underflows or overflows
+    the pair is not usable, and ``run_config`` rejects it.
     """
     # lambda = eta_w/2 solves sqrt(pi) lambda e^(lambda^2) erf(lambda) = 1/S;
     # as S -> inf, lambda^2 = log(1 + 1/(2S)) to leading order. Converted via
@@ -159,9 +163,4 @@ def stefan_default_guesses(S: float) -> tuple[float, float]:
     # log1p: for S > ~5e15, 1 + 1/(2S) rounds to 1
     lam2 = math.log1p(0.5 / S)
     h_est = 256.0 * lam2 * lam2
-    h1 = 0.75 * h_est
-    if h_est == math.inf:
-        raise InvalidParams(f"the estimated root h* = {h_est!r} overflows for S = {S!r}")
-    if not h1 < h_est:  # 0, or a subnormal too coarse to hold the pair apart
-        raise InvalidParams(f"the estimated root h* = {h_est!r} underflows for S = {S!r}")
-    return h_est, h1
+    return h_est, 0.75 * h_est

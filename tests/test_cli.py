@@ -223,12 +223,13 @@ def test_foreign_parameter_rejected_before_solving(monkeypatch, capsys, argv, pr
 
 @pytest.mark.parametrize("argv, iterations, eta_w, tol", [
     # the default pairs are meant for s* = 1/2; for another s* they scale by
-    # (s*/0.5)^(sigma/delta): x(2 s*)^2 for spreading, x(2 s*)^-4 for Stefan
+    # (s*/0.5)^(sigma/delta): x(2 s*)^2 for spreading, x(2 s*)^-4 for Stefan.
+    # The default step keeps the problem's step count at every s*
     (["spread", "--s-star", "2", "--h0", "8", "--h1", "1.6"], 5, 1.0, 1e-8),
     (["stefan", "--S", "1", "--s-star", "4",
       "--h0", repr(stefan_default_guesses(1.0)[0] / 4096),
       "--h1", repr(stefan_default_guesses(1.0)[1] / 4096)], 4, neumann_eta_w(1.0), 1e-9),
-    # without --h0 and --h1 the CLI scales the default pair itself
+    # without --h0 and --h1 run_config scales the default pair itself
     (["spread", "--s-star", "2"], 5, 1.0, 1e-8),
     (["stefan", "--S", "1", "--s-star", "4"], 4, neumann_eta_w(1.0), 1e-9),
 ])
@@ -238,6 +239,16 @@ def test_s_star_with_scaled_guesses(capsys, argv, iterations, eta_w, tol):
     result = json.loads(out)["result"]
     assert result["iterations"] == iterations
     assert abs(result["eta_w"] - eta_w) <= tol
+
+
+@pytest.mark.parametrize("problem, s_star, steps", [
+    ("stefan", 1e50, 500), ("spread", 2.0, 1000), ("spread", 1e-100, 1000)])
+def test_s_star_keeps_the_problems_step_count(monkeypatch, problem, s_star, steps):
+    # a fixed step of 1e-3 at s* = 1e50 would be about 1e53 RK4 steps per Gamma evaluation
+    monkeypatch.setattr(cli, "secant_solve", lambda *args: None)
+    _, _, config, _ = cli._solve(cli.PROBLEMS[problem], {"s_star": s_star, "tol": 1e-6,
+                                                         "max_iter": 50})
+    assert round(config.s_star / config.step) == steps
 
 
 def test_check_invariance(capsys):
@@ -280,17 +291,20 @@ def test_custom_tol_reaches_tighter_stop(capsys):
     (["spread", "--H", "0.1"], 4, "singular_integration"),
     (["spread", "--H", "2", "--L", "0.5"], 2, "secant_breakdown"),
     (["stefan", "--max-iter", "2"], 2, "max_iter_exceeded"),
+    # the default pair at s* = 1e-100 is (2e-200, 4e-201): (V - h^(1/2) eta)^3 underflows to 0
+    (["spread", "--s-star", "1e-100"], 4, "singular_integration"),
 ])
 def test_failed_solve_reports_its_status(capsys, argv, code, status):
     exit_code, out, err = run(capsys, argv + ["--format", "json"])
     assert exit_code == code
-    result = strict_loads(out)["result"]
+    report = strict_loads(out)
+    result = report["result"]
     assert result["status"] == status
     detail = f": {result['message']}" if result["message"] else ""
     assert err == f"error: solve did not converge: {status}{detail}\n"
     if status == "singular_integration":
         # the first guess already breaks, at the abscissa the message names
-        assert result["h_star"] == 0.5 and result["iterations"] == 0
+        assert result["h_star"] == report["config"]["h0"] and result["iterations"] == 0
         assert str(result["abscissa"]) in result["message"]
     elif status == "secant_breakdown":
         assert result["message"].startswith(f"secant step from h* = {result['h_star']!r}")
@@ -451,7 +465,8 @@ def test_unread_flags_are_rejected(capsys, argv):
     # every rejected input is exit 3, a degenerate exponent too
     (["check-invariance", "--n", "1", "--alpha", "-1"], "n*alpha + 1 = 0 for n=1.0, alpha=-1.0"),
     # the default guesses would be 0: say so, not that h0 and h1 coincide
-    (["stefan", "--S", "1e300"], "the estimated root h* = 0.0 underflows for S = 1e+300"),
+    (["stefan", "--S", "1e300"],
+     "the default guesses (0.0, 0.0) at s_star = 0.5 are not two distinct positive finite floats"),
     # beta belongs to a Neumann origin; under the default Dirichlet one it was ignored
     (["check-invariance", "--n", "3", "--alpha", "-0.2", "--beta", "0.5", "--coefficient", "1"],
      "a Dirichlet origin has no beta, got beta=0.5"),
@@ -461,15 +476,19 @@ def test_unread_flags_are_rejected(capsys, argv):
     # it ran, and reported more iterations than the bound
     (["stefan", "--max-iter", "0"], "max_iter must be at least 1, got 0"),
     # from S = 2.3e162 the estimate is a subnormal so coarse that 0.75 h* rounds back to it
-    (["stefan", "--S", "3e162"], "the estimated root h* = 5e-324 underflows for S = 3e+162"),
+    (["stefan", "--S", "3e162"], "the default guesses (5e-324, 5e-324) at s_star = 0.5 are not "
+                                 "two distinct positive finite floats"),
     # 1/(2S) overflows: the pair would be (inf, inf)
-    (["stefan", "--S", "1e-310"], "the estimated root h* = inf overflows for S = 1e-310"),
-    # an --s-star the default guesses cannot be scaled to: 0.0 ** -4 raises and
-    # (2e200) ** 2 overflows, and 1e200/step would be about 2e203 RK4 steps
+    (["stefan", "--S", "1e-310"],
+     "the default guesses (inf, inf) at s_star = 0.5 are not two distinct positive finite floats"),
+    # an --s-star the default guesses cannot be mapped to: 0.0 ** -4 raises,
+    # and (2e200) ** -4 underflows and (2e200) ** 2 overflows
     *[([problem, f"--s-star={value}"], f"s_star must be positive and finite, got {value}")
       for problem in ("stefan", "spread") for value in ("0.0", "-1.0", "nan", "inf")],
-    (["stefan", "--s-star", "1e200"], "initial guess 0.0 must be positive and finite"),
-    (["spread", "--s-star", "1e200"], "initial guess inf must be positive and finite"),
+    (["stefan", "--s-star", "1e200"], "the default guesses (0.0, 0.0) at s_star = 1e+200 are not "
+                                      "two distinct positive finite floats"),
+    (["spread", "--s-star", "1e200"], "the default guesses (inf, inf) at s_star = 1e+200 are not "
+                                      "two distinct positive finite floats"),
 ])
 def test_non_finite_params_rejected(monkeypatch, capsys, argv, message):
     def no_solve(*args):
@@ -514,8 +533,9 @@ def test_overflowing_recovery_exits_2_with_a_report(capsys, argv):
     assert dict(zip(header, row))["result.dU0"] == "-inf"
 
 
-# Numeric flags per subcommand. --step and --s-star are held fixed: the step
-# count s*/step is work the caller asks for, and could be about 1e300.
+# Numeric flags per subcommand. A solve draws --s-star or holds --step fixed:
+# the default step keeps the problem's step count at any s*, while the count
+# s*/step of a given step is work the caller asks for, and could be about 1e300.
 _FUZZ_FLAGS = {
     "stefan": ("--S", "--h0", "--h1", "--tol"),
     "spread": ("--H", "--L", "--h0", "--h1", "--tol"),
@@ -547,7 +567,7 @@ def _fuzz_argv(draw, command):
     if command != "check-invariance":
         argv.append(f"--max-iter={draw(st.sampled_from([0, 1, 3]))}")
     if command in ("stefan", "spread", "profile", "reconstruct"):
-        argv.append("--step=0.05")
+        argv.append(f"--s-star={draw(_FLOATS)!r}" if draw(st.booleans()) else "--step=0.05")
     if command in ("profile", "reconstruct"):
         argv.append(f"--points={draw(st.sampled_from([-1, 0, 1, 5]))}")
     if command in ("stefan", "spread", "check-invariance"):
@@ -561,6 +581,7 @@ def _fuzz_argv(draw, command):
 @example(argv=["stefan", "--S=1e-300", "--max-iter=1", "--step=0.05"])
 @example(argv=["profile", "--problem=spread", "--S=5.0", "--step=0.05"])
 @example(argv=["stefan", "--S=1e-300", "--max-iter=1", "--step=0.05", "--format=json"])
+@example(argv=["spread", "--s-star=1e-100"])  # V - h^(1/2) eta cubed underflows to 0
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=st.sampled_from(list(_FUZZ_FLAGS)).flatmap(_fuzz_argv))
 def test_every_float_input_exits_with_a_known_code(argv):

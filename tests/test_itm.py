@@ -15,6 +15,7 @@ from itmfree.itm import (
     evaluate_gamma,
     original_profile,
     recover_values,
+    run_config,
     secant_solve,
 )
 from itmfree.ivp import State2
@@ -42,6 +43,8 @@ def constant_problem(boundary_value):
         extended_rhs=lambda h, z, w, dw: 0.0,
         extended_boundary=lambda h, s: (boundary_value(h, s), 0.0),
         coefficients=lambda h: h,
+        steps=10,
+        guesses=(2.0, 0.5),
     )
 
 
@@ -193,6 +196,12 @@ def test_origin_constant_and_weight_must_be_finite_and_nonzero():
             ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=value)
 
 
+def test_steps_must_be_nonzero():
+    # run_config's default step is s*/steps
+    with pytest.raises(InvalidParams, match="steps must be finite and nonzero, got 0"):
+        dataclasses.replace(constant_problem(lambda h, s: 1.0), steps=0)
+
+
 def test_secant_solve_stefan_converges(stefan_s1):
     result = stefan_s1
     assert result.status is ItmStatus.CONVERGED
@@ -296,7 +305,7 @@ def test_coefficients_run_once_per_integration():
     problem = ReducedFreeBvp(origin_condition=lambda w, dw: w, origin_constant=1.0,
                              extended_rhs=extended_rhs,
                              extended_boundary=lambda h, s: (h, 0.0),
-                             coefficients=coefficients)
+                             coefficients=coefficients, steps=5, guesses=(2.0, 3.0))
     scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
     config = ItmConfig(s_star=0.5, step=0.1, h0=2.0, h1=3.0)  # 5 steps
     for h_star in (2.0, 3.0):
@@ -452,6 +461,30 @@ def test_solve_commutes_with_the_stretching_group(case, lam):
     a, b = (secant_solve(problem, scaling, c) for c in (config, scaled))
     assert (a.status, a.iterations) == (b.status, b.iterations)
     assert abs(a.s - b.s) <= rel * a.s or (math.isnan(a.s) and math.isnan(b.s))
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.25, 2.0, 4.0, 1e3])
+@pytest.mark.parametrize("problem, scaling, rel", [
+    (*make_stefan(StefanParams(S=1.0)), 1e-13),
+    (*make_stefan(StefanParams(S=1e-3)), 1e-13),
+    (*make_spreading(SpreadingParams(H=0.5, L=-0.5)), 1e-11),
+    (*make_spreading(SpreadingParams(H=2.0, L=-1.0)), 1e-11),
+])
+def test_run_config_solves_alike_at_every_s_star(problem, scaling, rel, lam):
+    # the default path at lam s*: the problem's step count and the pair mapped by
+    # the group, so the solve takes the path of the one at s* = 1/2
+    config = run_config(problem, scaling, s_star=lam * 0.5)
+    assert round(config.s_star / config.step) == problem.steps
+    a, b = (secant_solve(problem, scaling, c) for c in (run_config(problem, scaling), config))
+    assert a.converged and b.converged and a.iterations == b.iterations
+    assert abs(a.s - b.s) <= rel * a.s
+
+
+def test_run_config_uses_each_given_setting_as_is():
+    problem, scaling = make_spreading(SpreadingParams(H=0.5, L=-0.5))
+    config = run_config(problem, scaling, s_star=2.0, step=0.01, h0=3.0, tol=1e-9, max_iter=7)
+    # h1 is the default 0.1, mapped by (2 s*)^2 = 16
+    assert config == ItmConfig(s_star=2.0, step=0.01, h0=3.0, h1=1.6, tol=1e-9, max_iter=7)
 
 
 def test_omega_non_positive_is_a_status():

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from itmfree.cli import main
 from itmfree.errors import InvalidParams, SingularRhs
-from itmfree.itm import ItmConfig, ItmStatus, evaluate_gamma, original_profile, secant_solve
+from itmfree.itm import (ItmConfig, ItmStatus, evaluate_gamma, original_profile, run_config,
+                         secant_solve)
 from itmfree.ivp import State2
 from itmfree.problems import (
     STEFAN_GUESSES,
@@ -191,8 +192,10 @@ def test_default_guesses_bracket_the_root():
         h0, h1 = stefan_default_guesses(S)
         root = (neumann_eta_w(S) / 0.5) ** 4
         assert h1 < root <= h0 * (1.0 + 1e-14), S
-    with pytest.raises(InvalidParams, match="overflows"):
-        stefan_default_guesses(10.0 ** (-12343 / 40))
+    # below that, 1/(2S) overflows and run_config rejects the pair (inf, inf)
+    problem, scaling = make_stefan(StefanParams(S=10.0 ** (-12343 / 40)))
+    with pytest.raises(InvalidParams, match=r"the default guesses \(inf, inf\) at s_star = 0.5"):
+        run_config(problem, scaling)
 
 
 @pytest.mark.parametrize("S", [0.2, 0.7, 2.0, 8.0, 20.0])
