@@ -20,12 +20,11 @@ not converge also says why on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import math
 import re
 import sys
 import time
+from collections import namedtuple
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import InvalidParams, SingularRhs
@@ -52,19 +51,13 @@ _STATUS_EXIT = {
 Output = tuple[int, Optional[str]]  # exit code, text to emit (None on failure)
 
 
-@dataclasses.dataclass(frozen=True)
-class ProblemSpec:
-    """One bundled problem as the CLI sees it. The callables resolve library
-    functions as module globals at call time, so rebinding them on this
-    module (to trace or profile) reaches every call."""
+class ProblemSpec(namedtuple("ProblemSpec", "help params build references exponents rows row")):
+    """One bundled problem as the CLI sees it: ``params`` maps each flag name to
+    its (default, help), and ``rows`` holds the tabulated runs as flag overrides.
+    The callables resolve library functions as module globals at call time, so
+    rebinding them on this module (to trace or profile) reaches every call."""
 
-    help: str
-    params: dict[str, tuple[float, str]]     # flag name -> (default, help)
-    build: Callable[[dict[str, float]], tuple]
-    references: Callable[[dict[str, float], ItmResult], dict[str, float]]
-    exponents: Callable[[], SimilarityExponents]
-    rows: tuple[dict[str, float], ...]       # tabulated runs as flag overrides
-    row: Callable[[dict[str, float], ItmConfig, ItmResult], dict[str, Any]]
+    __slots__ = ()
 
 
 def _stefan_references(p: dict[str, float], result: ItmResult) -> dict[str, float]:
@@ -176,6 +169,8 @@ def _csv(grid: list[list[str]]) -> str:
 def _emit(doc: Any, fmt: str) -> str:
     """The one writer: a report dict or a list of row dicts in ``fmt``."""
     if fmt == "json":  # RFC 8259 JSON has no NaN or Infinity: the reparse makes each one null
+        import json  # here, not at the top: loading it costs every CSV or table run
+
         strict = json.loads(json.dumps(doc), parse_constant=lambda _: None)
         return json.dumps(strict, indent=2) + "\n"
     if fmt == "table":
@@ -212,7 +207,7 @@ def cmd_solve(args: argparse.Namespace) -> Output:
     if args.trace:
         fields["trace"] = [{"j": j, "h_star": it.h_star, "gamma": it.gamma_val, "omega": it.omega,
                             "s_j": it.s_j} for j, it in enumerate(result.trace)]
-    report = {"problem": args.command, "params": params, "config": dataclasses.asdict(config),
+    report = {"problem": args.command, "params": params, "config": config._asdict(),
               "result": fields, "references": spec.references(params, result),
               "wall_time_s": elapsed}
     code = _failed(result, "solve") if not result.converged else EXIT_OK
@@ -267,8 +262,8 @@ def cmd_check_invariance(args: argparse.Namespace) -> Output:
 
 _FLAGS: dict[str, dict[str, Any]] = {
     "--format": dict(choices=["table", "csv", "json"], default="table"),
-    "--tol": dict(type=float, default=ItmConfig.tol),
-    "--max-iter": dict(type=int, default=ItmConfig.max_iter),
+    "--tol": dict(type=float, default=ItmConfig._field_defaults["tol"]),
+    "--max-iter": dict(type=int, default=ItmConfig._field_defaults["max_iter"]),
     "--trace": dict(action="store_true"),
     "--out": dict(type=str, default=None),
     # solver flags; None resolves to the problem's default

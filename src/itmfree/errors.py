@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the base of the records
+that raise one when they are built.
 
 Three are raised: ``InvalidParams`` when an argument is rejected,
 ``SingularRhs`` when an integration breaks down, and ``OmegaNonPositive``
@@ -15,6 +16,17 @@ class ItmFreeError(Exception):
 
 class InvalidParams(ItmFreeError):
     """An argument lies outside what the function or constructor accepts."""
+
+
+class CheckedRecord:
+    """Base of a namedtuple record whose ``__new__`` raises InvalidParams.
+    ``_make``, and so ``_replace``, builds through the class, so no copy skips the check."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 class SingularRhs(ItmFreeError):

@@ -30,10 +30,11 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .errors import InvalidParams, OmegaNonPositive, SingularRhs
+from .errors import CheckedRecord, InvalidParams, OmegaNonPositive, SingularRhs
 from .ivp import SolutionProfile, State2, integrate_inward
 
 __all__ = [
@@ -107,47 +108,44 @@ class ReducedFreeBvp:
         _require_finite_nonzero("steps", self.steps)  # run_config divides s* by it
 
 
-@dataclass(frozen=True)
-class ExtendedScaling:
+class ExtendedScaling(CheckedRecord, namedtuple("ExtendedScaling", "delta sigma origin_weight")):
     """Group exponents (delta, sigma) and the group weight k of the origin condition."""
 
-    delta: float
-    sigma: float
-    origin_weight: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _require_finite_nonzero("origin weight", self.origin_weight)
+    def __new__(cls, delta: float, sigma: float, origin_weight: float) -> ExtendedScaling:
+        _require_finite_nonzero("origin weight", origin_weight)
+        return super().__new__(cls, delta, sigma, origin_weight)
 
 
-@dataclass(frozen=True)
-class ItmConfig:
+class ItmConfig(CheckedRecord,
+                namedtuple("ItmConfig", "s_star step h0 h1 tol max_iter", defaults=(1e-6, 50))):
     """Starred boundary s*, RK4 step, secant guesses h0 != h1 > 0, tolerance
-    and iteration bound; an inadmissible value raises InvalidParams."""
+    and iteration bound; an inadmissible value raises InvalidParams. The
+    defaults of tol and max_iter are ``ItmConfig._field_defaults``."""
 
-    s_star: float
-    step: float
-    h0: float
-    h1: float
-    tol: float = 1e-6
-    max_iter: int = 50
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.s_star < math.inf:
-            raise InvalidParams(f"s_star must be positive and finite, got {self.s_star}")
+    def __new__(cls, *args, **kwargs) -> ItmConfig:
+        self = super().__new__(cls, *args, **kwargs)
+        s_star, step, h0, h1, tol, max_iter = self
+        if not 0.0 < s_star < math.inf:
+            raise InvalidParams(f"s_star must be positive and finite, got {s_star}")
         # a longer step would silently become one step of length s_star, and
         # the step count s_star/step must be a finite float
-        if not (0.0 < self.step <= self.s_star and self.s_star / self.step < math.inf):
-            raise InvalidParams(f"step must lie in (0, s_star = {self.s_star}] with s_star/step "
-                                f"finite, got {self.step}")
-        if not self.tol > 0.0:  # a nan tol could never be met
-            raise InvalidParams("tol must be positive")
-        for h in (self.h0, self.h1):
+        if not (0.0 < step <= s_star and s_star / step < math.inf):
+            raise InvalidParams(f"step must lie in (0, s_star = {s_star}] with s_star/step "
+                                f"finite, got {step}")
+        if not 0.0 < tol < math.inf:  # a nan tol could never be met, an inf one always is
+            raise InvalidParams(f"tol must be positive and finite, got {tol}")
+        for h in (h0, h1):
             if not 0.0 < h < math.inf:
                 raise InvalidParams(f"initial guess {h} must be positive and finite")
-        if self.h0 == self.h1:
+        if h0 == h1:
             raise InvalidParams("initial guesses h0 and h1 must differ")
-        if self.max_iter < 1:  # the solve evaluates iterate 1 before it tests the bound
-            raise InvalidParams(f"max_iter must be at least 1, got {self.max_iter}")
+        if max_iter < 1:  # the solve evaluates iterate 1 before it tests the bound
+            raise InvalidParams(f"max_iter must be at least 1, got {max_iter}")
+        return self
 
 
 def run_config(problem: ReducedFreeBvp, scaling: ExtendedScaling, s_star: Optional[float] = None,
@@ -170,12 +168,7 @@ def run_config(problem: ReducedFreeBvp, scaling: ExtendedScaling, s_star: Option
                      h0=g0 if h0 is None else h0, h1=g1 if h1 is None else h1, **rest)
 
 
-@dataclass(frozen=True)
-class ItmIteration:
-    h_star: float
-    gamma_val: float
-    omega: float
-    s_j: float
+ItmIteration = namedtuple("ItmIteration", "h_star gamma_val omega s_j")  # one secant iterate
 
 
 class ItmStatus(enum.Enum):
@@ -186,23 +179,20 @@ class ItmStatus(enum.Enum):
     SECANT_BREAKDOWN = "secant_breakdown"
 
 
-@dataclass(frozen=True)
-class ItmResult:
+class ItmResult(namedtuple("ItmResult", "status omega h_star s w0 dw0 trace message abscissa",
+                           defaults=(None, "", math.nan))):
     """Outcome of ``secant_solve``; ``message`` and ``abscissa`` describe a failure.
 
     ``w0`` and ``dw0`` are in the original variables (U(0) and U'(0) for the
-    shifted spreading problem).
+    shifted spreading problem). ``trace`` lists the ItmIteration of every
+    iterate; left out, it is a new empty list.
     """
 
-    status: ItmStatus
-    omega: float
-    h_star: float
-    s: float
-    w0: float
-    dw0: float
-    trace: list[ItmIteration] = field(default_factory=list)
-    message: str = ""
-    abscissa: float = math.nan
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ItmResult:
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.trace is not None else self._replace(trace=[])
 
     @property
     def converged(self) -> bool:

@@ -8,8 +8,8 @@ inputs give bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple, Optional
+from collections import namedtuple
+from typing import Any, Callable, NamedTuple
 
 from .errors import InvalidParams, SingularRhs
 
@@ -25,23 +25,21 @@ class State2(NamedTuple):
     dw: float
 
 
-@dataclass(frozen=True)
 class SolutionProfile:
-    """Sampled (eta, U, dU/deta) columns along a solution."""
+    """Sampled (eta, U, dU/deta) columns along a solution; its length is the row count."""
 
-    eta: tuple[float, ...]
-    u: tuple[float, ...]
-    du: tuple[float, ...]
+    __slots__ = ("eta", "u", "du")
+
+    def __init__(self, eta: tuple[float, ...], u: tuple[float, ...], du: tuple[float, ...]):
+        self.eta, self.u, self.du = eta, u, du
 
     def __len__(self) -> int:
         return len(self.eta)
 
 
-@dataclass(frozen=True)
-class IntegrationResult:
-    endpoint: State2
-    steps_taken: int
-    profile: Optional[SolutionProfile] = None
+# the endpoint State2, the step count and the SolutionProfile (None unless recorded)
+IntegrationResult = namedtuple("IntegrationResult", "endpoint steps_taken profile",
+                               defaults=(None,))
 
 
 def integrate_inward(rhs: Rhs, coef: Any, z_start: float, y_start: State2, n_steps: int,

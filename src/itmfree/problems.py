@@ -6,9 +6,9 @@ its run settings and paired with its extended scaling group.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .errors import InvalidParams, SingularRhs
+from .errors import CheckedRecord, InvalidParams, SingularRhs
 from .itm import ExtendedScaling, ReducedFreeBvp
 from .similarity import OriginKind, SimilarityExponents
 
@@ -37,35 +37,34 @@ STEFAN_GUESSES: dict[float, tuple[float, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class StefanParams:
+class StefanParams(CheckedRecord, namedtuple("StefanParams", "S")):
     """S is the inverse Stefan number (0 < S < inf)."""
 
-    S: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.S < math.inf:
-            raise InvalidParams(f"S must be positive and finite, got {self.S}")
+    def __new__(cls, S: float) -> StefanParams:
+        if not 0.0 < S < math.inf:
+            raise InvalidParams(f"S must be positive and finite, got {S}")
+        return super().__new__(cls, S)
 
 
-@dataclass(frozen=True)
-class SpreadingParams:
+class SpreadingParams(CheckedRecord, namedtuple("SpreadingParams", "H L")):
     """Free-boundary fluid height H (H^3 finite and nonzero) and finite slope constant L."""
 
-    H: float
-    L: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.H) and self.H != 0.0):
-            raise InvalidParams(f"H must be finite and nonzero, got {self.H}")
+    def __new__(cls, H: float, L: float) -> SpreadingParams:
+        if not (math.isfinite(H) and H != 0.0):
+            raise InvalidParams(f"H must be finite and nonzero, got {H}")
         try:
-            cube = self.H ** 3  # the front slope divides by it
+            cube = H ** 3  # the front slope divides by it
         except OverflowError:
             cube = math.inf
         if not 0.0 < abs(cube) < math.inf:
-            raise InvalidParams(f"H^3 must be a finite nonzero float, got H = {self.H}")
-        if not math.isfinite(self.L):
-            raise InvalidParams(f"L must be finite, got {self.L}")
+            raise InvalidParams(f"H^3 must be a finite nonzero float, got H = {H}")
+        if not math.isfinite(L):
+            raise InvalidParams(f"L must be finite, got {L}")
+        return super().__new__(cls, H, L)
 
 
 def stefan_exponents() -> SimilarityExponents:

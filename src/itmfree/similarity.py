@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
-from .errors import InvalidParams
+from .errors import CheckedRecord, InvalidParams
 from .ivp import SolutionProfile
 
 __all__ = [
@@ -37,21 +36,18 @@ class OriginKind(enum.Enum):
     NEUMANN = "neumann"       # u_x(0, t) = B t^beta
 
 
-@dataclass(frozen=True)
-class SimilarityExponents:
+class SimilarityExponents(CheckedRecord, namedtuple("SimilarityExponents",
+                                                    "n alpha gamma coefficient origin_kind beta",
+                                                    defaults=(None,))):
     """Exponents (n, alpha, beta, gamma) and coefficient (A or B) of the group.
 
     beta belongs to a Neumann origin only, and is required there unless B = 0.
     """
 
-    n: float
-    alpha: float
-    gamma: float
-    coefficient: float
-    origin_kind: OriginKind
-    beta: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> SimilarityExponents:
+        self = super().__new__(cls, *args, **kwargs)
         if self.origin_kind is OriginKind.DIRICHLET and self.beta is not None:
             raise InvalidParams(f"a Dirichlet origin has no beta, got beta={self.beta}")
         # without beta the Neumann balance alpha*gamma - 1 - gamma*beta cannot be checked
@@ -59,23 +55,22 @@ class SimilarityExponents:
                 and self.beta is None):
             raise InvalidParams(f"a Neumann origin with coefficient={self.coefficient} "
                                 "needs a beta")
+        return self
 
 
-@dataclass(frozen=True)
-class PhysicalProfile:
-    """A solution profile in physical (x, u) variables at a fixed time."""
+class PhysicalProfile(namedtuple("PhysicalProfile", "x u du_dx x_w")):
+    """A solution profile in physical (x, u) variables at a fixed time: the
+    columns x, u and du/dx, and the free boundary x_w."""
 
-    x: tuple[float, ...]
-    u: tuple[float, ...]
-    du_dx: tuple[float, ...]
-    x_w: float
+    __slots__ = ()
 
 
 def gamma_from_alpha(n: float, alpha: float) -> float:
-    """Similarity time exponent gamma = 2 / (n alpha + 1)."""
+    """Similarity time exponent gamma = 2 / (n alpha + 1); raises InvalidParams
+    unless n alpha + 1 is finite and nonzero."""
     denom = n * alpha + 1.0
-    if denom == 0.0:
-        raise InvalidParams(f"n*alpha + 1 = 0 for n={n}, alpha={alpha}")
+    if not (denom != 0.0 and math.isfinite(denom)):
+        raise InvalidParams(f"n*alpha + 1 = {denom:g} for n={n}, alpha={alpha}")
     return 2.0 / denom
 
 

@@ -54,7 +54,7 @@ def stdout_of(argv: list[str]) -> str:
 
 def solves() -> dict[str, list[dict]]:
     """The bits of every sweep and grid solve, as ``solves.json`` holds them."""
-    opts = {"tol": ItmConfig.tol, "max_iter": ItmConfig.max_iter}
+    opts = ItmConfig._field_defaults
 
     def bits(command: str, params: dict[str, float]) -> dict:
         result = cli._solve(cli.PROBLEMS[command], {**opts, **params})[3]

@@ -489,6 +489,11 @@ def test_unread_flags_are_rejected(capsys, argv):
                                       "two distinct positive finite floats"),
     (["spread", "--s-star", "1e200"], "the default guesses (inf, inf) at s_star = 1e+200 are not "
                                       "two distinct positive finite floats"),
+    # it converged after one iteration, 0.18 off the Neumann root: |Gamma| <= inf always holds
+    (["stefan", "--tol", "inf"], "tol must be positive and finite, got inf"),
+    # n*alpha + 1 overflows: gamma was 2/inf = 0 and the PDE residual nan, exit 0
+    (["check-invariance", "--n", "1e308", "--alpha", "1e308"],
+     "n*alpha + 1 = inf for n=1e+308, alpha=1e+308"),
 ])
 def test_non_finite_params_rejected(monkeypatch, capsys, argv, message):
     def no_solve(*args):
@@ -592,6 +597,20 @@ def test_every_float_input_exits_with_a_known_code(argv):
     assert code in (0, 2, 3, 4)
     if "--format=json" in argv and out.getvalue():
         strict_loads(out.getvalue())
+
+
+def test_cli_import_loads_no_json_and_one_dataclass():
+    # json is loaded only to write JSON output. The record types are namedtuples,
+    # built without the code generation of dataclasses; ReducedFreeBvp stays a
+    # dataclass while the benchmark's tracer swaps its RHS with dataclasses.replace,
+    # until ROADMAP item 5 moves the tracer off it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = ("import dataclasses, sys, itmfree, itmfree.cli; assert 'json' not in sys.modules; "
+            "print(*[n for n in itmfree.__all__ if dataclasses.is_dataclass(getattr(itmfree, n))])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ReducedFreeBvp"]
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -28,6 +28,11 @@ def test_gamma_from_alpha(n, alpha, expected):
 def test_gamma_from_alpha_degenerate():
     with pytest.raises(InvalidParams, match=r"n\*alpha \+ 1 = 0 for n=2.0, alpha=-0.5"):
         gamma_from_alpha(2.0, -0.5)
+    # a denominator beyond the float range would give gamma = 2/inf = 0
+    with pytest.raises(InvalidParams, match=r"n\*alpha \+ 1 = inf for n=1e\+308, alpha=1e\+308"):
+        gamma_from_alpha(1e308, 1e308)
+    with pytest.raises(InvalidParams, match=r"n\*alpha \+ 1 = nan for n=nan, alpha=1.0"):
+        gamma_from_alpha(math.nan, 1.0)
 
 
 @example(n=0.0, beta=-0.5)  # the paper's printed formula gives 0.25 here, the balance 0
