@@ -3,8 +3,8 @@
 Subcommands: ``stefan`` and ``spread`` run a single solve and report one
 result block, with the same keys for both, against the available references;
 ``table`` reruns the tabulated parameter sets; ``profile`` and ``reconstruct``
-emit plain CSV of the similarity profile and of its physical-variable image at
-a given time; ``check-invariance`` prints scaling-group residuals.
+emit plain CSV of the solve's own similarity profile and its physical-variable
+image at a given time; ``check-invariance`` prints scaling-group residuals.
 
 Every problem subcommand takes its parameters and references from one
 ``ProblemSpec`` in ``PROBLEMS`` and its run settings from ``run_config``.
@@ -27,8 +27,9 @@ import time
 from collections import namedtuple
 from typing import Any, Callable, Optional, Sequence
 
-from .errors import InvalidParams, SingularRhs
-from .itm import ItmConfig, ItmResult, ItmStatus, original_profile, run_config, secant_solve
+from .errors import InvalidParams
+from .itm import ItmConfig, ItmResult, ItmStatus, run_config, secant_solve, solution_profile
+from .ivp import SolutionProfile
 from .problems import (STEFAN_GUESSES, SpreadingParams, StefanParams, make_spreading,
                        make_stefan, spreading_exponents, stefan_exponents)
 from .reference import ASYMPTOTIC_ETA_W, exact_spreading, neumann_eta_w
@@ -39,14 +40,6 @@ EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
 EXIT_INVALID_PARAMS = 3
 EXIT_SINGULAR = 4
-
-_STATUS_EXIT = {
-    ItmStatus.CONVERGED: EXIT_OK,
-    ItmStatus.MAX_ITER_EXCEEDED: EXIT_NO_CONVERGENCE,
-    ItmStatus.OMEGA_NON_POSITIVE: EXIT_NO_CONVERGENCE,
-    ItmStatus.SINGULAR_INTEGRATION: EXIT_SINGULAR,
-    ItmStatus.SECANT_BREAKDOWN: EXIT_NO_CONVERGENCE,
-}
 
 Output = tuple[int, Optional[str]]  # exit code, text to emit (None on failure)
 
@@ -180,20 +173,24 @@ def _emit(doc: Any, fmt: str) -> str:
 
 def _solve(spec: ProblemSpec, opts: dict[str, Any]):
     """Build the problem from ``opts`` (parsed flags plus overrides) and solve it; an
-    absent or None flag takes the spec's parameter default or the problem's run setting."""
+    absent or None flag takes the spec's parameter default or the problem's run setting.
+    Returns the built (problem, scaling) pair, the params, the config and the result."""
     params = {k: default if opts.get(k) is None else opts[k]
               for k, (default, _) in spec.params.items()}
-    problem, scaling = spec.build(params)
+    problem, scaling = built = spec.build(params)
     config = run_config(problem, scaling, tol=opts["tol"], max_iter=opts["max_iter"],
                         **{k: opts.get(k) for k in ("s_star", "step", "h0", "h1")})
-    return problem, params, config, secant_solve(problem, scaling, config)
+    points = opts.get("points")
+    if points:  # n: the smallest multiple of --points not below the problem's steps
+        config = config._replace(step=config.s_star / (-(-problem.steps // points) * points))
+    return built, params, config, secant_solve(problem, scaling, config)
 
 
 def _failed(result: ItmResult, what: str) -> int:
     """Print the stderr line of a solve that did not converge; returns its exit code."""
     detail = f": {result.message}" if result.message else ""
     print(f"error: {what} did not converge: {result.status.value}{detail}", file=sys.stderr)
-    return _STATUS_EXIT[result.status]
+    return EXIT_SINGULAR if result.status is ItmStatus.SINGULAR_INTEGRATION else EXIT_NO_CONVERGENCE
 
 
 def cmd_solve(args: argparse.Namespace) -> Output:
@@ -226,8 +223,8 @@ def cmd_table(args: argparse.Namespace) -> Output:
 
 
 def cmd_profile(args: argparse.Namespace) -> Output:
-    """``profile`` and ``reconstruct``: the converged profile, in similarity or
-    physical variables."""
+    """``profile`` and ``reconstruct``: every (n/points)-th node of the converged
+    solve's last iterate, in similarity or physical variables."""
     if args.points < 1:
         raise InvalidParams(f"points must be at least 1, got {args.points}")
     if args.command == "reconstruct" and not 0.0 < args.t < math.inf:
@@ -237,16 +234,17 @@ def cmd_profile(args: argparse.Namespace) -> Output:
         for flag in other.params:
             if flag not in spec.params and getattr(args, flag) is not None:
                 raise InvalidParams(f"--{flag} is not a parameter of {args.problem}")
-    problem, _, _, result = _solve(spec, vars(args))
+    (problem, scaling), _, config, result = _solve(spec, vars(args))
     if not result.converged:
         return _failed(result, "solve"), None
-    prof = original_profile(problem, result.s, args.points)
-    if args.command == "profile":
-        return EXIT_OK, _emit([{"eta": eta, "U": u, "dU": du}
-                               for eta, u, du in zip(prof.eta, prof.u, prof.du)], "csv")
-    phys = reconstruct_physical(prof, spec.exponents(), result.s, args.t)
-    rows = [{"x": x, "u": u, "du_dx": du} for x, u, du in zip(phys.x, phys.u, phys.du_dx)]
-    return EXIT_OK, _emit(rows, "csv")
+    full = solution_profile(problem, scaling, config, result)
+    k = (len(full) - 1) // args.points  # the solve took n = k * points steps
+    prof = SolutionProfile(full.eta[::k], full.u[::k], full.du[::k])
+    header, columns = ("eta", "U", "dU"), (prof.eta, prof.u, prof.du)
+    if args.command == "reconstruct":
+        phys = reconstruct_physical(prof, spec.exponents(), result.s, args.t)
+        header, columns = ("x", "u", "du_dx"), (phys.x, phys.u, phys.du_dx)
+    return EXIT_OK, _emit([dict(zip(header, row)) for row in zip(*columns)], "csv")
 
 
 def cmd_check_invariance(args: argparse.Namespace) -> Output:
@@ -274,7 +272,7 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--problem": dict(choices=list(PROBLEMS), default="stefan"),
     "--points": dict(type=int, default=100),
 }
-_SOLVE_FLAGS = ("--out", "--tol", "--max-iter", "--s-star", "--step", "--h0", "--h1")
+_SOLVE_FLAGS = ("--out", "--tol", "--max-iter", "--s-star", "--h0", "--h1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     for name, spec in PROBLEMS.items():
-        add(name, spec.help, cmd_solve, "--format", "--trace", *_SOLVE_FLAGS, specs=[spec])
+        add(name, spec.help, cmd_solve, "--format", "--trace", "--step", *_SOLVE_FLAGS,
+            specs=[spec])
     p = add("table", "rerun the tabulated parameter sets", cmd_table,
             "--format", "--out", "--tol", "--max-iter")
     p.add_argument("which", choices=list(PROBLEMS))
@@ -318,9 +317,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         code, text = args.func(args)
-    except (InvalidParams, SingularRhs) as exc:  # a rejected input, or a singular profile
+    except InvalidParams as exc:  # every other failure is a solve's status
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PARAMS if isinstance(exc, InvalidParams) else EXIT_SINGULAR
+        return EXIT_INVALID_PARAMS
     if text is not None:
         if args.out is None:
             sys.stdout.write(text)

@@ -49,9 +49,11 @@ __all__ = [
     "secant_solve",
     "recover_values",
     "original_profile",
+    "solution_profile",
 ]
 
 _DEFAULT_S_STAR = 0.5  # the starred boundary of every problem's own run settings
+_MAX_STEPS = 10 ** 7  # RK4 steps per integration: about 10 s at 1 us per step
 
 
 def _identity_output(eta: float, w: float, dw: float) -> tuple[float, float]:
@@ -120,9 +122,9 @@ class ExtendedScaling(CheckedRecord, namedtuple("ExtendedScaling", "delta sigma 
 
 class ItmConfig(CheckedRecord,
                 namedtuple("ItmConfig", "s_star step h0 h1 tol max_iter", defaults=(1e-6, 50))):
-    """Starred boundary s*, RK4 step, secant guesses h0 != h1 > 0, tolerance
-    and iteration bound; an inadmissible value raises InvalidParams. The
-    defaults of tol and max_iter are ``ItmConfig._field_defaults``."""
+    """Starred boundary s*, RK4 step (at most 10^7 steps s*/step), secant guesses
+    h0 != h1 > 0, tolerance and iteration bound; an inadmissible value raises
+    InvalidParams. The defaults of tol and max_iter are ``ItmConfig._field_defaults``."""
 
     __slots__ = ()
 
@@ -131,11 +133,12 @@ class ItmConfig(CheckedRecord,
         s_star, step, h0, h1, tol, max_iter = self
         if not 0.0 < s_star < math.inf:
             raise InvalidParams(f"s_star must be positive and finite, got {s_star}")
-        # a longer step would silently become one step of length s_star, and
-        # the step count s_star/step must be a finite float
-        if not (0.0 < step <= s_star and s_star / step < math.inf):
-            raise InvalidParams(f"step must lie in (0, s_star = {s_star}] with s_star/step "
-                                f"finite, got {step}")
+        # a longer step would silently become one step of length s_star
+        if not 0.0 < step <= s_star:
+            raise InvalidParams(f"step must lie in (0, s_star = {s_star}], got {step}")
+        if not s_star / step <= _MAX_STEPS:  # each Gamma evaluation takes s_star/step steps
+            raise InvalidParams(f"step {step} at s_star = {s_star} asks for {s_star / step:.3g} "
+                                f"RK4 steps per integration, more than {_MAX_STEPS}")
         if not 0.0 < tol < math.inf:  # a nan tol could never be met, an inf one always is
             raise InvalidParams(f"tol must be positive and finite, got {tol}")
         for h in (h0, h1):
@@ -216,7 +219,7 @@ def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     """
     s_star = config.s_star
     y_start = State2(*problem.extended_boundary(h_star, s_star))
-    # ItmConfig keeps 0 < step <= s* and s*/step finite, so this is at least 1
+    # ItmConfig keeps 0 < step <= s* and s*/step <= _MAX_STEPS, so this is at least 1
     n_steps = round(s_star / config.step)
     res = integrate_inward(problem.extended_rhs, problem.coefficients(h_star),
                            s_star, y_start, n_steps)
@@ -248,20 +251,40 @@ def recover_values(omega: float, scaling: ExtendedScaling, endpoint: State2,
     return s, w0, dw0
 
 
-def original_profile(problem: ReducedFreeBvp, s: float, n_steps: int) -> SolutionProfile:
-    """Integrate the original (h = 1) problem inward from s, recording all steps.
-
-    It integrates ``extended_rhs`` with ``coefficients(1.0)`` from the
-    extended boundary data at h = 1. The returned
-    profile is in the original, un-shifted variables and ordered by
-    increasing abscissa.
-    """
-    y_start = State2(*problem.extended_boundary(1.0, s))
-    prof = integrate_inward(problem.extended_rhs, problem.coefficients(1.0), s, y_start,
+def _mapped_profile(problem: ReducedFreeBvp, h: float, z_start: float, n_steps: int,
+                    omega: float, delta: float) -> SolutionProfile:
+    """Record the inward integration at h from z_start and map each node as
+    ``recover_values`` maps the endpoint, then by ``to_original``."""
+    y_start = State2(*problem.extended_boundary(h, z_start))
+    prof = integrate_inward(problem.extended_rhs, problem.coefficients(h), z_start, y_start,
                             n_steps, record_profile=True).profile
-    eta = prof.eta[::-1]
-    u, du = zip(*map(problem.to_original, eta, prof.u[::-1], prof.du[::-1]))
+    eta_scale, dw_scale = _power(omega, -delta), _power(omega, delta - 1.0)
+    eta = tuple(eta_scale * z for z in reversed(prof.eta))
+    u, du = zip(*map(problem.to_original, eta, [w / omega for w in reversed(prof.u)],
+                     [dw_scale * dw for dw in reversed(prof.du)]))
     return SolutionProfile(eta, u, du)
+
+
+def original_profile(problem: ReducedFreeBvp, s: float, n_steps: int) -> SolutionProfile:
+    """Integrate the original (h = 1) problem inward from s, recording all steps:
+    ``extended_rhs`` with ``coefficients(1.0)`` from the extended boundary data at
+    h = 1, in the original, un-shifted variables by increasing abscissa."""
+    return _mapped_profile(problem, 1.0, s, n_steps, 1.0, 0.0)
+
+
+def solution_profile(problem: ReducedFreeBvp, scaling: ExtendedScaling, config: ItmConfig,
+                     result: ItmResult) -> SolutionProfile:
+    """The converged solution at the n + 1 nodes of the result's last iterate, n = s*/step.
+
+    One integration re-runs that iterate from s*, and each node is mapped back as
+    ``recover_values`` maps the endpoint, so the first row is (0, ``result.w0``,
+    ``result.dw0``) and the last abscissa ``result.s``, bit for bit, by increasing
+    abscissa. Raises InvalidParams unless the result converged.
+    """
+    if not result.converged:
+        raise InvalidParams(f"a {result.status.value} result has no converged profile")
+    return _mapped_profile(problem, result.h_star, config.s_star,
+                           round(config.s_star / config.step), result.omega, scaling.delta)
 
 
 _MAX_LOG_H = math.log(sys.float_info.max)  # exp(x) is finite and positive for |x| up to this

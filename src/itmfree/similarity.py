@@ -39,15 +39,17 @@ class OriginKind(enum.Enum):
 class SimilarityExponents(CheckedRecord, namedtuple("SimilarityExponents",
                                                     "n alpha gamma coefficient origin_kind beta",
                                                     defaults=(None,))):
-    """Exponents (n, alpha, beta, gamma) and coefficient (A or B) of the group.
-
-    beta belongs to a Neumann origin only, and is required there unless B = 0.
+    """Exponents (n, alpha, beta, gamma) and coefficient (A or B) of the group, all
+    finite; beta belongs to a Neumann origin only, and is required there unless B = 0.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> SimilarityExponents:
         self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if name != "origin_kind" and value is not None and not math.isfinite(value):
+                raise InvalidParams(f"{name} must be finite, got {value}")
         if self.origin_kind is OriginKind.DIRICHLET and self.beta is not None:
             raise InvalidParams(f"a Dirichlet origin has no beta, got beta={self.beta}")
         # without beta the Neumann balance alpha*gamma - 1 - gamma*beta cannot be checked

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from itmfree import cli
 from itmfree.cli import main
-from itmfree.itm import original_profile
+from itmfree.itm import solution_profile
 from itmfree.problems import stefan_default_guesses
 from itmfree.reference import neumann_eta_w
 from itmfree.similarity import reconstruct_physical
@@ -167,11 +167,62 @@ def test_reconstruct_is_plain_csv_ending_at_the_front(capsys, problem, points, t
     assert len(rows) == points + 2 and {len(row) for row in rows} == {3}
     # the front x_w = eta_w t^(1/gamma) is the last row's x, to the bit
     spec = cli.PROBLEMS[problem]
-    bvp, _, _, result = cli._solve(spec, {"tol": 1e-6, "max_iter": 50})
-    profile = original_profile(bvp, result.s, points)
+    (bvp, scaling), _, config, result = cli._solve(spec, {"tol": 1e-6, "max_iter": 50,
+                                                          "points": points})
+    profile = solution_profile(bvp, scaling, config, result)
     phys = reconstruct_physical(profile, spec.exponents(), result.s, t)
     assert phys.x[-1] == phys.x_w
     assert rows[-1][0] == format(phys.x_w, ".9g")
+
+
+# the benchmark's 61-case Stefan sweep and 30-case spreading grid
+_SWEEP = [["--S", repr(10.0 ** (k / 10))] for k in range(-30, 31)]
+_GRID = [["--H", repr(H), "--L", repr(L)]
+         for H in (0.1, 0.25, 0.5, 1.0, 2.0) for L in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("problem, cases, converged", [("stefan", _SWEEP, 61),
+                                                       ("spread", _GRID, 13)])
+def test_profile_of_every_converged_case_spans_the_report(capsys, problem, cases, converged):
+    # the rows are nodes of the solve's own last iterate: the first is the
+    # report's (0, U0, dU0), the last abscissa its eta_w. A second integration
+    # from eta_w at --points steps printed U'(0) = 0.0124 for the zero-flux
+    # (H, L) = (0.25, -0.5), and broke (exit 4) at (0.25, -2)
+    seen = 0
+    for params in cases:
+        _, out, _ = run(capsys, [problem, *params, "--format", "csv"])
+        header, row = csv.reader(io.StringIO(out))
+        report = {k.removeprefix("result."): v for k, v in zip(header, row)}
+        if report["status"] != "converged":
+            continue
+        seen += 1
+        code, out, err = run(capsys, ["profile", "--problem", problem, *params])
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1] == ["0", report["U0"], report["dU0"]]
+        assert rows[-1][0] == report["eta_w"]
+    assert seen == converged
+
+
+@pytest.mark.parametrize("problem", ["stefan", "spread"])
+@pytest.mark.parametrize("points", [1, 3, 10, 1000])
+def test_points_sets_the_row_count(capsys, problem, points):
+    for command in (["profile"], ["reconstruct", "--t", "4"]):
+        code, out, _ = run(capsys, command + ["--problem", problem, "--points", str(points)])
+        assert code == 0
+        assert len(out.splitlines()) == points + 2  # the header and points + 1 rows
+
+
+@pytest.mark.parametrize("problem, points, steps", [
+    ("stefan", 1, 500), ("stefan", 3, 501), ("stefan", 1000, 1000),
+    ("spread", 10, 1000), ("spread", 7, 1001), ("spread", 3000, 3000)])
+def test_points_sets_the_smallest_step_count_not_below_the_problems(monkeypatch, problem,
+                                                                     points, steps):
+    # every row is a node of the solve, which is never coarser than the default one
+    monkeypatch.setattr(cli, "secant_solve", lambda *args: None)
+    _, _, config, _ = cli._solve(cli.PROBLEMS[problem], {"points": points, "tol": 1e-6,
+                                                         "max_iter": 50})
+    assert round(config.s_star / config.step) == steps
 
 
 def test_reconstruct_identity_at_t1(capsys):
@@ -494,6 +545,14 @@ def test_unread_flags_are_rejected(capsys, argv):
     # n*alpha + 1 overflows: gamma was 2/inf = 0 and the PDE residual nan, exit 0
     (["check-invariance", "--n", "1e308", "--alpha", "1e308"],
      "n*alpha + 1 = inf for n=1e+308, alpha=1e+308"),
+    # a given non-finite exponent: the PDE residual was nan or inf, exit 0
+    (["check-invariance", "--n", "inf", "--alpha", "0", "--gamma", "2"],
+     "n must be finite, got inf"),
+    (["check-invariance", "--n", "0", "--alpha", "0", "--gamma", "inf"],
+     "gamma must be finite, got inf"),
+    # 1e53 RK4 steps per Gamma evaluation: the solve never ended
+    (["stefan", "--s-star", "1e50", "--step", "1e-3"],
+     "step 0.001 at s_star = 1e+50 asks for 1e+53 RK4 steps per integration, more than 10000000"),
 ])
 def test_non_finite_params_rejected(monkeypatch, capsys, argv, message):
     def no_solve(*args):
@@ -540,7 +599,8 @@ def test_overflowing_recovery_exits_2_with_a_report(capsys, argv):
 
 # Numeric flags per subcommand. A solve draws --s-star or holds --step fixed:
 # the default step keeps the problem's step count at any s*, while the count
-# s*/step of a given step is work the caller asks for, and could be about 1e300.
+# s*/step of a given step is work the caller asks for, up to 10^7 steps.
+# profile and reconstruct take no --step: they draw --s-star or nothing.
 _FUZZ_FLAGS = {
     "stefan": ("--S", "--h0", "--h1", "--tol"),
     "spread": ("--H", "--L", "--h0", "--h1", "--tol"),
@@ -571,8 +631,10 @@ def _fuzz_argv(draw, command):
             argv.append(f"{flag}={draw(_FLOATS)!r}")  # "=": "-1e-300" is not an option
     if command != "check-invariance":
         argv.append(f"--max-iter={draw(st.sampled_from([0, 1, 3]))}")
-    if command in ("stefan", "spread", "profile", "reconstruct"):
-        argv.append(f"--s-star={draw(_FLOATS)!r}" if draw(st.booleans()) else "--step=0.05")
+    if command in ("stefan", "spread", "profile", "reconstruct") and draw(st.booleans()):
+        argv.append(f"--s-star={draw(_FLOATS)!r}")
+    elif command in ("stefan", "spread"):
+        argv.append("--step=0.05")
     if command in ("profile", "reconstruct"):
         argv.append(f"--points={draw(st.sampled_from([-1, 0, 1, 5]))}")
     if command in ("stefan", "spread", "check-invariance"):
@@ -584,7 +646,7 @@ def _fuzz_argv(draw, command):
 
 @example(argv=["stefan", "--S=1.0", "--h0=1e-290", "--h1=1e-280", "--max-iter=1"])
 @example(argv=["stefan", "--S=1e-300", "--max-iter=1", "--step=0.05"])
-@example(argv=["profile", "--problem=spread", "--S=5.0", "--step=0.05"])
+@example(argv=["profile", "--problem=spread", "--S=5.0"])
 @example(argv=["stefan", "--S=1e-300", "--max-iter=1", "--step=0.05", "--format=json"])
 @example(argv=["spread", "--s-star=1e-100"])  # V - h^(1/2) eta cubed underflows to 0
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])

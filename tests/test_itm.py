@@ -17,6 +17,7 @@ from itmfree.itm import (
     recover_values,
     run_config,
     secant_solve,
+    solution_profile,
 )
 from itmfree.ivp import State2
 from itmfree.problems import (STEFAN_GUESSES, SpreadingParams, StefanParams, make_spreading,
@@ -48,29 +49,31 @@ def constant_problem(boundary_value):
     )
 
 
+SWEEP = [10.0 ** (k / 10) for k in range(-30, 31)]  # the benchmark's 61-case sweep of S
+GRID = [(H, L) for H in (0.1, 0.25, 0.5, 1.0, 2.0) for L in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)]
+
+
+def sweep_case(S):
+    problem, scaling = make_stefan(StefanParams(S=S))
+    h0, h1 = stefan_default_guesses(S)
+    return problem, scaling, ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1)
+
+
+def grid_case(H, L):
+    problem, scaling = make_spreading(SpreadingParams(H=H, L=L))
+    return problem, scaling, ItmConfig(s_star=0.5, step=5e-4, h0=0.5, h1=0.1)
+
+
 @pytest.fixture(scope="module")
 def stefan_sweep():
     """(S, result) for the benchmark's 61-case sweep S = 10^(k/10), k = -30..30."""
-    solves = []
-    for k in range(-30, 31):
-        S = 10.0 ** (k / 10)
-        problem, scaling = make_stefan(StefanParams(S=S))
-        h0, h1 = stefan_default_guesses(S)
-        solves.append((S, secant_solve(problem, scaling,
-                                       ItmConfig(s_star=0.5, step=1e-3, h0=h0, h1=h1))))
-    return solves
+    return [(S, secant_solve(*sweep_case(S))) for S in SWEEP]
 
 
 @pytest.fixture(scope="module")
 def spreading_grid():
     """(scaling, result) for the 5x6 spreading grid of test_problems."""
-    solves = []
-    for H in (0.1, 0.25, 0.5, 1.0, 2.0):
-        for L in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0):
-            problem, scaling = make_spreading(SpreadingParams(H=H, L=L))
-            config = ItmConfig(s_star=0.5, step=5e-4, h0=0.5, h1=0.1)
-            solves.append((scaling, secant_solve(problem, scaling, config)))
-    return solves
+    return [(case[1], secant_solve(*case)) for case in (grid_case(H, L) for H, L in GRID)]
 
 
 @pytest.mark.parametrize("s_star, h_star", list(GAMMA_SPREADING))
@@ -532,6 +535,7 @@ def test_config_validation():
         dict(tol=math.inf),  # |Gamma| <= inf holds at once: "converged" at any iterate
         dict(step=10.0),  # a step longer than s_star would be one step of length s_star
         dict(s_star=1e300, step=1e-10),  # s_star/step overflows: no finite step count
+        dict(s_star=1e50, step=1e-3),  # 1e53 steps: an integration that never ends
         dict(max_iter=0),  # iterate 1 is evaluated before the bound is tested
         dict(max_iter=-3),
     ):
@@ -557,6 +561,34 @@ def test_profile_recording(spreading_problem):
     assert profile.eta[-1] == pytest.approx(result.s)
     assert profile.u[-1] == pytest.approx(0.5, abs=1e-8)  # U(eta_w) = H
     assert profile.du[0] == pytest.approx(0.0, abs=1e-6)  # U'(0) = 0
+
+
+def test_solution_profile_is_the_last_iterate_mapped_back(stefan_sweep, spreading_grid):
+    # every converged case of the sweep and the grid: the n + 1 nodes of the
+    # solve's own iterate, from the report's (0, w0, dw0) to its s, bit for bit
+    cases = ([(sweep_case(S), r) for S, (_, r) in zip(SWEEP, stefan_sweep)]
+             + [(grid_case(H, L), r) for (H, L), (_, r) in zip(GRID, spreading_grid)])
+    converged = [(case, r) for case, r in cases if r.converged]
+    assert len(converged) == 61 + 13
+    for (problem, scaling, config), result in converged:
+        profile = solution_profile(problem, scaling, config, result)
+        assert len(profile) == round(config.s_star / config.step) + 1
+        assert (profile.eta[0], profile.u[0], profile.du[0]) == (0.0, result.w0, result.dw0)
+        assert profile.eta[-1] == result.s
+        assert list(profile.eta) == sorted(profile.eta)
+    # Stefan: omega = w*(0), so U(0) = w*(0)/omega is exactly the Dirichlet value
+    assert all(result.w0 == 1.0 for _, result in converged[:61])
+
+
+def test_solution_profile_of_an_unconverged_result_is_rejected():
+    stefan, spread = sweep_case(1.0), grid_case(0.1, -0.5)
+    unconverged = [(stefan, secant_solve(*stefan[:2], stefan[2]._replace(max_iter=1))),
+                   (spread, secant_solve(*spread))]
+    assert [r.status for _, r in unconverged] == [ItmStatus.MAX_ITER_EXCEEDED,
+                                                  ItmStatus.SINGULAR_INTEGRATION]
+    for case, result in unconverged:
+        with pytest.raises(InvalidParams, match=f"a {result.status.value} result has no "):
+            solution_profile(*case, result)
 
 
 @pytest.mark.parametrize("make, config", [

@@ -72,6 +72,16 @@ def test_neumann_origin_with_a_coefficient_requires_beta():
     assert check_invariance(exps)[1] == 0.0
 
 
+@pytest.mark.parametrize("field", ["n", "alpha", "gamma", "coefficient", "beta"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_exponent_rejected(field, value):
+    # a non-finite exponent or coefficient made check_invariance return nan or inf
+    finite = dict(n=3.0, alpha=-0.2, gamma=5.0, coefficient=1.0,
+                  origin_kind=OriginKind.NEUMANN, beta=-0.2)
+    with pytest.raises(InvalidParams, match=f"^{field} must be finite, got {value}$"):
+        SimilarityExponents(**{**finite, field: value})
+
+
 def test_check_invariance_stefan():
     assert check_invariance(stefan_exponents()) == [0.0, 0.0]
 
