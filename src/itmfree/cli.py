@@ -12,9 +12,9 @@ Commands return their exit code and output text; ``main`` alone writes it,
 so a failed run leaves ``--out`` untouched. Every output is a dict or a list
 of row dicts written by ``_emit``, whose JSON has null for a nan or inf.
 
-Exit codes: 0 success, 2 non-convergence, 3 invalid parameters or an
-``--out`` that cannot be opened, 4 singular integration; a solve that does
-not converge also says why on stderr.
+Exit codes: 0 success, 2 non-convergence, 3 invalid parameters, a usage
+error or an ``--out`` that cannot be opened, 4 singular integration; a solve
+that does not converge also says why on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from collections import namedtuple
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import InvalidParams
-from .itm import ItmConfig, ItmResult, ItmStatus, run_config, secant_solve, solution_profile
+from .itm import (_MAX_STEPS, ItmConfig, ItmResult, ItmStatus, run_config, secant_solve,
+                  solution_profile)
 from .ivp import SolutionProfile
 from .problems import (STEFAN_GUESSES, SpreadingParams, StefanParams, make_spreading,
                        make_stefan, spreading_exponents, stefan_exponents)
@@ -93,7 +94,7 @@ PROBLEMS: dict[str, ProblemSpec] = {
         build=lambda p: make_spreading(SpreadingParams(**p)),
         references=_spread_references,
         exponents=spreading_exponents,
-        rows=({"s_star": 0.5}, {"s_star": 1.0, "step": 5e-4, "h0": 0.5, "h1": 0.1}),
+        rows=({"s_star": 0.5}, {"s_star": 1.0, "steps": 2000, "h0": 0.5, "h1": 0.1}),
         row=lambda p, config, r: {
             "s_star": config.s_star, "gamma0": r.trace[0].gamma_val,
             "gamma1": r.trace[1].gamma_val, "h_star": r.h_star, "U0": r.w0,
@@ -178,11 +179,10 @@ def _solve(spec: ProblemSpec, opts: dict[str, Any]):
     params = {k: default if opts.get(k) is None else opts[k]
               for k, (default, _) in spec.params.items()}
     problem, scaling = built = spec.build(params)
-    config = run_config(problem, scaling, tol=opts["tol"], max_iter=opts["max_iter"],
-                        **{k: opts.get(k) for k in ("s_star", "step", "h0", "h1")})
-    points = opts.get("points")
-    if points:  # n: the smallest multiple of --points not below the problem's steps
-        config = config._replace(step=config.s_star / (-(-problem.steps // points) * points))
+    settings = {k: opts.get(k) for k in ("s_star", "steps", "h0", "h1")}
+    if opts.get("points"):  # n: the smallest multiple of --points not below the problem's steps
+        settings["steps"] = -(-problem.steps // opts["points"]) * opts["points"]
+    config = run_config(problem, scaling, tol=opts["tol"], max_iter=opts["max_iter"], **settings)
     return built, params, config, secant_solve(problem, scaling, config)
 
 
@@ -225,8 +225,8 @@ def cmd_table(args: argparse.Namespace) -> Output:
 def cmd_profile(args: argparse.Namespace) -> Output:
     """``profile`` and ``reconstruct``: every (n/points)-th node of the converged
     solve's last iterate, in similarity or physical variables."""
-    if args.points < 1:
-        raise InvalidParams(f"points must be at least 1, got {args.points}")
+    if not 1 <= args.points <= _MAX_STEPS:  # the solve takes n >= points RK4 steps
+        raise InvalidParams(f"points must lie in [1, {_MAX_STEPS}], got {args.points}")
     if args.command == "reconstruct" and not 0.0 < args.t < math.inf:
         raise InvalidParams(f"t must be positive and finite, got {args.t}")
     spec = PROBLEMS[args.problem]
@@ -266,7 +266,7 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--out": dict(type=str, default=None),
     # solver flags; None resolves to the problem's default
     "--s-star": dict(type=float, default=None),
-    "--step": dict(type=float, default=None),
+    "--steps": dict(type=int, default=None),
     "--h0": dict(type=float, default=None),
     "--h1": dict(type=float, default=None),
     "--problem": dict(choices=list(PROBLEMS), default="stefan"),
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_: str, func: Callable, *flags: str, specs=()):
-        p = sub.add_parser(name, help=help_)
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)  # --step is not --steps
         p.set_defaults(func=func)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     for name, spec in PROBLEMS.items():
-        add(name, spec.help, cmd_solve, "--format", "--trace", "--step", *_SOLVE_FLAGS,
+        add(name, spec.help, cmd_solve, "--format", "--trace", "--steps", *_SOLVE_FLAGS,
             specs=[spec])
     p = add("table", "rerun the tabulated parameter sets", cmd_table,
             "--format", "--out", "--tol", "--max-iter")
@@ -314,7 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error, exit 2, would read as non-convergence
+        return EXIT_INVALID_PARAMS if exc.code else EXIT_OK
     try:
         code, text = args.func(args)
     except InvalidParams as exc:  # every other failure is a solve's status

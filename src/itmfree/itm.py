@@ -107,7 +107,6 @@ class ReducedFreeBvp:
             object.__setattr__(self, "rhs",
                                lambda z, w, dw: extended_rhs(coefficients(1.0), z, w, dw))
         _require_finite_nonzero("origin constant", self.origin_constant)
-        _require_finite_nonzero("steps", self.steps)  # run_config divides s* by it
 
 
 class ExtendedScaling(CheckedRecord, namedtuple("ExtendedScaling", "delta sigma origin_weight")):
@@ -152,14 +151,17 @@ class ItmConfig(CheckedRecord,
 
 
 def run_config(problem: ReducedFreeBvp, scaling: ExtendedScaling, s_star: Optional[float] = None,
-               step: Optional[float] = None, h0: Optional[float] = None,
+               steps: Optional[int] = None, h0: Optional[float] = None,
                h1: Optional[float] = None, **rest: Any) -> ItmConfig:
-    """The ItmConfig of the problem's run settings. A given s_star, step, h0 or h1
-    is used as is, and ``rest`` (tol, max_iter) is passed through. At another s*
-    the default keeps ``problem.steps`` steps and maps the default pair by the
-    group, h* -> (s*/0.5)^(sigma/delta) h*. Raises InvalidParams unless the
-    mapped pair is two distinct positive finite floats."""
+    """The ItmConfig of the problem's run settings, with step = s*/n for n = ``steps``
+    (``problem.steps`` by default). A given s_star, steps, h0 or h1 is used as is, and
+    ``rest`` (tol, max_iter) is passed through. At another s* the default pair is mapped
+    by the group, h* -> (s*/0.5)^(sigma/delta) h*. Raises InvalidParams unless n is an
+    int in [1, 10^7] and the mapped pair is two distinct positive finite floats."""
     s_star = _DEFAULT_S_STAR if s_star is None else s_star
+    steps = problem.steps if steps is None else steps
+    if not (isinstance(steps, int) and 1 <= steps <= _MAX_STEPS):  # 2.5 would run 2 steps
+        raise InvalidParams(f"steps must be an int in [1, {_MAX_STEPS}], got {steps!r}")
     g0, g1 = problem.guesses
     if (h0 is None or h1 is None) and 0.0 < s_star < math.inf:  # ItmConfig names any other s*
         scale = _power(s_star / _DEFAULT_S_STAR, scaling.sigma / scaling.delta)
@@ -167,7 +169,7 @@ def run_config(problem: ReducedFreeBvp, scaling: ExtendedScaling, s_star: Option
         if not (0.0 < g0 < math.inf and 0.0 < g1 < math.inf and g0 != g1):
             raise InvalidParams(f"the default guesses {(g0, g1)!r} at s_star = {s_star!r} are "
                                 "not two distinct positive finite floats")
-    return ItmConfig(s_star=s_star, step=s_star / problem.steps if step is None else step,
+    return ItmConfig(s_star=s_star, step=s_star / steps,
                      h0=g0 if h0 is None else h0, h1=g1 if h1 is None else h1, **rest)
 
 

@@ -33,7 +33,7 @@ COMMANDS: dict[str, list[str]] = {
     "spread_trace.json": ["spread", "--format", "json", "--trace"],
     "stefan_S1e-300_trace.json": ["stefan", "--S", "1e-300", "--format", "json", "--trace"],
     "spread_H0.1.json": ["spread", "--H", "0.1", "--format", "json"],  # singular, exit 4
-    "stefan_explicit_step_h0.json": ["stefan", "--S", "0.2", "--step", "0.01", "--h0", "3",
+    "stefan_explicit_step_h0.json": ["stefan", "--S", "0.2", "--steps", "50", "--h0", "3",
                                      "--format", "json"],
     "stefan_s_star_4.json": ["stefan", "--S", "1", "--s-star", "4", "--format", "json"],
     "spread_s_star_2.json": ["spread", "--s-star", "2", "--format", "json"],

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from itmfree import cli
 from itmfree.cli import main
-from itmfree.itm import solution_profile
+from itmfree.itm import run_config, secant_solve, solution_profile
 from itmfree.problems import stefan_default_guesses
 from itmfree.reference import neumann_eta_w
 from itmfree.similarity import reconstruct_physical
@@ -246,10 +246,11 @@ def test_points_below_one_rejected_before_solving(monkeypatch, capsys, argv):
         raise AssertionError("solved before checking --points")
 
     monkeypatch.setattr(cli, "secant_solve", no_solve)
-    code, out, err = run(capsys, argv + ["--points", "0"])
-    assert code == 3
-    assert out == ""
-    assert err == "error: points must be at least 1, got 0\n"
+    for points in (0, 10 ** 8):  # n >= points: 10^8 steps would be past run_config's ceiling
+        code, out, err = run(capsys, argv + ["--points", str(points)])
+        assert code == 3
+        assert out == ""
+        assert err == f"error: points must lie in [1, 10000000], got {points}\n"
 
 
 # (subcommand, --problem, a parameter of another problem)
@@ -300,6 +301,30 @@ def test_s_star_keeps_the_problems_step_count(monkeypatch, problem, s_star, step
     _, _, config, _ = cli._solve(cli.PROBLEMS[problem], {"s_star": s_star, "tol": 1e-6,
                                                          "max_iter": 50})
     assert round(config.s_star / config.step) == steps
+
+
+def _finite_or_none(v):
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
+@pytest.mark.parametrize("problem", ["stefan", "spread"])
+@pytest.mark.parametrize("s_star", [0.5, 4.0])
+@pytest.mark.parametrize("steps", [1, 7, 500, 2000])
+def test_steps_is_the_step_count_that_runs(capsys, problem, s_star, steps):
+    # the report's step is s*/n, and the solve is the library's at n steps, bit for bit
+    code, out, _ = run(capsys, [problem, "--s-star", repr(s_star), "--steps", str(steps),
+                                "--format", "json", "--trace"])
+    report = strict_loads(out)
+    assert report["config"]["step"] == s_star / steps
+    built = cli.PROBLEMS[problem].build(report["params"])
+    result = secant_solve(*built, run_config(*built, s_star=s_star, steps=steps))
+    assert code == {"converged": 0, "singular_integration": 4}.get(result.status.value, 2)
+    expected = {"status": result.status.value, "omega": result.omega, "h_star": result.h_star,
+                "eta_w": result.s, "U0": result.w0, "dU0": result.dw0,
+                "iterations": result.iterations, "message": result.message,
+                "trace": [it.h_star for it in result.trace]}
+    got = {**report["result"], "trace": [it["h_star"] for it in report["result"]["trace"]]}
+    assert {k: got[k] for k in expected} == {k: _finite_or_none(v) for k, v in expected.items()}
 
 
 def test_check_invariance(capsys):
@@ -499,12 +524,17 @@ def test_human_report_prints_an_empty_trace_as_its_heading(capsys):
     ["profile", "--format", "csv"],
     ["reconstruct", "--t", "1", "--trace"],
     ["check-invariance", "--n", "0", "--alpha", "0", "--max-iter", "3"],
+    # the step length flag is gone, and no abbreviation of --steps stands for it
+    ["stefan", "--step", "0.01"],
+    ["stefan", "--steps", "1.5"],
 ])
 def test_unread_flags_are_rejected(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # a usage error is an invalid input, exit 3; argparse's own 2 would read as non-convergence
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    reason = "argument --steps: invalid int value" if "--steps" in argv else "unrecognized arguments"
+    assert f"error: {reason}" in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -550,9 +580,8 @@ def test_unread_flags_are_rejected(capsys, argv):
      "n must be finite, got inf"),
     (["check-invariance", "--n", "0", "--alpha", "0", "--gamma", "inf"],
      "gamma must be finite, got inf"),
-    # 1e53 RK4 steps per Gamma evaluation: the solve never ended
-    (["stefan", "--s-star", "1e50", "--step", "1e-3"],
-     "step 0.001 at s_star = 1e+50 asks for 1e+53 RK4 steps per integration, more than 10000000"),
+    # 10^8 RK4 steps per Gamma evaluation, about 100 s each
+    (["stefan", "--steps", "100000000"], "steps must be an int in [1, 10000000], got 100000000"),
 ])
 def test_non_finite_params_rejected(monkeypatch, capsys, argv, message):
     def no_solve(*args):
@@ -581,7 +610,7 @@ def test_overflowing_start_state_is_singular(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["stefan", "--S", "1", "--h0", "1e-290", "--h1", "1e-280", "--max-iter", "1"],
-    ["stefan", "--S", "1e-300", "--max-iter", "1", "--step", "0.05"],
+    ["stefan", "--S", "1e-300", "--max-iter", "1", "--steps", "10"],
 ])
 def test_overflowing_recovery_exits_2_with_a_report(capsys, argv):
     # omega^(delta - 1) overflows for the tiny omega of the last iterate
@@ -597,10 +626,7 @@ def test_overflowing_recovery_exits_2_with_a_report(capsys, argv):
     assert dict(zip(header, row))["result.dU0"] == "-inf"
 
 
-# Numeric flags per subcommand. A solve draws --s-star or holds --step fixed:
-# the default step keeps the problem's step count at any s*, while the count
-# s*/step of a given step is work the caller asks for, up to 10^7 steps.
-# profile and reconstruct take no --step: they draw --s-star or nothing.
+# Numeric flags per subcommand; --s-star, --steps and --points are drawn apart.
 _FUZZ_FLAGS = {
     "stefan": ("--S", "--h0", "--h1", "--tol"),
     "spread": ("--H", "--L", "--h0", "--h1", "--tol"),
@@ -633,8 +659,9 @@ def _fuzz_argv(draw, command):
         argv.append(f"--max-iter={draw(st.sampled_from([0, 1, 3]))}")
     if command in ("stefan", "spread", "profile", "reconstruct") and draw(st.booleans()):
         argv.append(f"--s-star={draw(_FLOATS)!r}")
-    elif command in ("stefan", "spread"):
-        argv.append("--step=0.05")
+    if command in ("stefan", "spread") and draw(st.booleans()):
+        # never a large count in range: 10^7 steps cost about 10 s per Gamma evaluation
+        argv.append(f"--steps={draw(st.sampled_from([-1, 0, 1, 10, 10 ** 7 + 1]))}")
     if command in ("profile", "reconstruct"):
         argv.append(f"--points={draw(st.sampled_from([-1, 0, 1, 5]))}")
     if command in ("stefan", "spread", "check-invariance"):
@@ -645,9 +672,9 @@ def _fuzz_argv(draw, command):
 
 
 @example(argv=["stefan", "--S=1.0", "--h0=1e-290", "--h1=1e-280", "--max-iter=1"])
-@example(argv=["stefan", "--S=1e-300", "--max-iter=1", "--step=0.05"])
+@example(argv=["stefan", "--S=1e-300", "--max-iter=1", "--steps=10"])
 @example(argv=["profile", "--problem=spread", "--S=5.0"])
-@example(argv=["stefan", "--S=1e-300", "--max-iter=1", "--step=0.05", "--format=json"])
+@example(argv=["stefan", "--S=1e-300", "--max-iter=1", "--steps=10", "--format=json"])
 @example(argv=["spread", "--s-star=1e-100"])  # V - h^(1/2) eta cubed underflows to 0
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(argv=st.sampled_from(list(_FUZZ_FLAGS)).flatmap(_fuzz_argv))

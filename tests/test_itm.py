@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,9 +201,15 @@ def test_origin_constant_and_weight_must_be_finite_and_nonzero():
 
 
 def test_steps_must_be_nonzero():
-    # run_config's default step is s*/steps
-    with pytest.raises(InvalidParams, match="steps must be finite and nonzero, got 0"):
-        dataclasses.replace(constant_problem(lambda h, s: 1.0), steps=0)
+    # run_config alone checks n, from the problem or from the caller: step = s*/n
+    # would divide by 0, 2.5 would run 2 steps and 10^7 + 1 is beyond the ceiling
+    problem, scaling = make_stefan(StefanParams(S=1.0))
+    for steps in (0, -5, 2.5, 10 ** 7 + 1):
+        message = re.escape(f"steps must be an int in [1, 10000000], got {steps!r}")
+        with pytest.raises(InvalidParams, match=message):
+            run_config(dataclasses.replace(problem, steps=steps), scaling)
+        with pytest.raises(InvalidParams, match=message):
+            run_config(problem, scaling, steps=steps)
 
 
 def test_secant_solve_stefan_converges(stefan_s1):
@@ -485,7 +492,7 @@ def test_run_config_solves_alike_at_every_s_star(problem, scaling, rel, lam):
 
 def test_run_config_uses_each_given_setting_as_is():
     problem, scaling = make_spreading(SpreadingParams(H=0.5, L=-0.5))
-    config = run_config(problem, scaling, s_star=2.0, step=0.01, h0=3.0, tol=1e-9, max_iter=7)
+    config = run_config(problem, scaling, s_star=2.0, steps=200, h0=3.0, tol=1e-9, max_iter=7)
     # h1 is the default 0.1, mapped by (2 s*)^2 = 16
     assert config == ItmConfig(s_star=2.0, step=0.01, h0=3.0, h1=1.6, tol=1e-9, max_iter=7)
 
