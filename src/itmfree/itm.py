@@ -157,11 +157,16 @@ def run_config(problem: ReducedFreeBvp, scaling: ExtendedScaling, s_star: Option
     (``problem.steps`` by default). A given s_star, steps, h0 or h1 is used as is, and
     ``rest`` (tol, max_iter) is passed through. At another s* the default pair is mapped
     by the group, h* -> (s*/0.5)^(sigma/delta) h*. Raises InvalidParams unless n is an
-    int in [1, 10^7] and the mapped pair is two distinct positive finite floats."""
+    int in [1, 10^7] that s*/step rounds back to (a subnormal s* may not), and the mapped
+    pair is two distinct positive finite floats."""
     s_star = _DEFAULT_S_STAR if s_star is None else s_star
     steps = problem.steps if steps is None else steps
     if not (isinstance(steps, int) and 1 <= steps <= _MAX_STEPS):  # 2.5 would run 2 steps
         raise InvalidParams(f"steps must be an int in [1, {_MAX_STEPS}], got {steps!r}")
+    step = s_star / steps  # at a subnormal s*, evaluate_gamma's round(s_star / step) is not n
+    if 0.0 < step and s_star < math.inf and round(s_star / step) != steps:
+        raise InvalidParams(f"s_star = {s_star!r} would run {round(s_star / step)} RK4 steps "
+                            f"of {step!r}, not {steps}")
     g0, g1 = problem.guesses
     if (h0 is None or h1 is None) and 0.0 < s_star < math.inf:  # ItmConfig names any other s*
         scale = _power(s_star / _DEFAULT_S_STAR, scaling.sigma / scaling.delta)
@@ -169,7 +174,7 @@ def run_config(problem: ReducedFreeBvp, scaling: ExtendedScaling, s_star: Option
         if not (0.0 < g0 < math.inf and 0.0 < g1 < math.inf and g0 != g1):
             raise InvalidParams(f"the default guesses {(g0, g1)!r} at s_star = {s_star!r} are "
                                 "not two distinct positive finite floats")
-    return ItmConfig(s_star=s_star, step=s_star / steps,
+    return ItmConfig(s_star=s_star, step=step,
                      h0=g0 if h0 is None else h0, h1=g1 if h1 is None else h1, **rest)
 
 

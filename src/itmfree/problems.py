@@ -8,8 +8,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import CheckedRecord, InvalidParams, SingularRhs
+from .errors import CheckedRecord, InvalidParams
 from .itm import ExtendedScaling, ReducedFreeBvp
+from .ivp import inline_rhs
 from .similarity import OriginKind, SimilarityExponents
 
 __all__ = [
@@ -35,6 +36,17 @@ STEFAN_GUESSES: dict[float, tuple[float, float]] = {
     10.0: (1.0, 0.5),
     50.0: (1e-3, 1e-2),
 }
+
+_STEFAN_RHS = inline_rhs("coef * z * dw")  # coef is the convection coefficient -h^(1/2)/2
+# the shifted spreading problem's w''; coef is (h^(1/2), h^2/5)
+_SPREADING_RHS = inline_rhs("""sh, c = coef
+u = w - sh * z
+if u <= 0.0:  # (V - h^(1/2) eta)^(-3) blows up; diagnose instead of NaN
+    raise SingularRhs(z, f"V - h^(1/2) eta = {u} <= 0 at eta = {z}")
+du = dw - sh
+uu = u * u
+-3.0 * du * du / u - c * z * du / (uu * u) - c / uu
+""")
 
 
 class StefanParams(CheckedRecord, namedtuple("StefanParams", "S")):
@@ -90,14 +102,10 @@ def make_stefan(params: StefanParams) -> tuple[ReducedFreeBvp, ExtendedScaling]:
     positive values.
     """
     S = params.S
-
-    def extended_rhs(a: float, z: float, w: float, dw: float) -> float:
-        return a * z * dw
-
     problem = ReducedFreeBvp(
         origin_condition=lambda w, dw: w,
         origin_constant=1.0,
-        extended_rhs=extended_rhs,
+        extended_rhs=_STEFAN_RHS,
         extended_boundary=lambda h, s: (0.0, -0.5 * h ** 0.75 * S * s),
         coefficients=lambda h: -0.5 * math.sqrt(h),  # the convection coefficient
         steps=500,
@@ -123,21 +131,10 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
     """
     H, L = params.H, params.L
     slope = L / (5.0 * H ** 3) + 1.0
-
-    def shifted_terms(coef: tuple[float, float], z: float, w: float, dw: float) -> float:
-        sh, c = coef
-        u = w - sh * z
-        if u <= 0.0:
-            # (V - h^(1/2) eta)^(-3) blows up; diagnose instead of NaN
-            raise SingularRhs(z, f"V - h^(1/2) eta = {u} <= 0 at eta = {z}")
-        du = dw - sh
-        uu = u * u
-        return -3.0 * du * du / u - c * z * du / (uu * u) - c / uu
-
     problem = ReducedFreeBvp(
         origin_condition=lambda w, dw: dw,
         origin_constant=1.0,
-        extended_rhs=shifted_terms,
+        extended_rhs=_SPREADING_RHS,
         extended_boundary=lambda h, s: (h * H + math.sqrt(h) * s, math.sqrt(h) * slope),
         to_original=lambda eta, w, dw: (w - eta, dw - 1.0),
         coefficients=lambda h: (math.sqrt(h), h * h / 5.0),

@@ -240,6 +240,19 @@ def test_reconstruct_rejects_nonpositive_t(capsys):
         assert err.startswith("error: t must be positive")
 
 
+@pytest.mark.parametrize("problem, steps", [("stefan", 506), ("spread", 1012)])
+def test_subnormal_s_star_rejected_before_solving(monkeypatch, capsys, problem, steps):
+    # s*/n rounds to a subnormal step, and s*/step no longer rounds back to n
+    def no_solve(*args):
+        raise AssertionError("solved a step count other than n")
+
+    monkeypatch.setattr(cli, "secant_solve", no_solve)
+    code, out, err = run(capsys, [problem, "--s-star", "1e-320", "--h0", "1", "--h1", "2"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: s_star = 1e-320 would run {steps} RK4 steps of ")
+
+
 @pytest.mark.parametrize("argv", [["profile"], ["reconstruct", "--t", "1"]])
 def test_points_below_one_rejected_before_solving(monkeypatch, capsys, argv):
     def no_solve(*args):
@@ -692,10 +705,12 @@ def test_cli_import_loads_no_json_and_one_dataclass():
     # json is loaded only to write JSON output. The record types are namedtuples,
     # built without the code generation of dataclasses; ReducedFreeBvp stays a
     # dataclass while the benchmark's tracer swaps its RHS with dataclasses.replace,
-    # until ROADMAP item 5 moves the tracer off it
+    # until ROADMAP item 5 moves the tracer off it. No RK4 loop is compiled before the
+    # first integration asks for one
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     code = ("import dataclasses, sys, itmfree, itmfree.cli; assert 'json' not in sys.modules; "
+            "assert itmfree.ivp._loop.cache_info().currsize == 0, 'a loop compiled at import'; "
             "print(*[n for n in itmfree.__all__ if dataclasses.is_dataclass(getattr(itmfree, n))])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -497,6 +497,16 @@ def test_run_config_uses_each_given_setting_as_is():
     assert config == ItmConfig(s_star=2.0, step=0.01, h0=3.0, h1=1.6, tol=1e-9, max_iter=7)
 
 
+@pytest.mark.parametrize("steps, runs", [(500, 506), (1000, 1012), (2000, 2024)])
+def test_run_config_rejects_a_step_that_runs_another_count(steps, runs):
+    # s* = 1e-320 is subnormal: s*/n rounds to a step that s*/step does not map back to n
+    problem, scaling = make_spreading(SpreadingParams(H=0.5, L=-0.5))
+    assert round(1e-320 / (1e-320 / steps)) == runs
+    with pytest.raises(InvalidParams, match=rf"^s_star = 1e-320 would run {runs} RK4 steps "
+                                            rf"of .*, not {steps}$"):
+        run_config(problem, scaling, s_star=1e-320, steps=steps, h0=1.0, h1=2.0)
+
+
 def test_omega_non_positive_is_a_status():
     # g/C = w*(0) = 1 - h*, which is -1 at h1 = 2
     scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
@@ -612,3 +622,38 @@ def test_overflowing_guess_is_singular_at_s_star(make, config):
     assert result.abscissa == config.s_star
     assert result.message.startswith("start state (w, w') = (")
     assert result.message.endswith(f") at z = {config.s_star!r} is not finite")
+
+
+def test_inline_and_called_rhs_solve_alike(monkeypatch, stefan_sweep, spreading_grid):
+    # each bundled RHS runs inline in the RK4 loop; wrapped in a plain function, as the
+    # benchmark's tracer wraps it, it is called 4 times per step instead. Every solve of
+    # the sweep, the grid (17 failing cases included) and Table 1 is the same, bit for bit
+    table = [(*make_stefan(StefanParams(S=S)), h0, h1) for S, (h0, h1) in STEFAN_GUESSES.items()]
+    table = [(problem, scaling, run_config(problem, scaling, h0=h0, h1=h1))
+             for problem, scaling, h0, h1 in table]
+    cases = ([sweep_case(S) for S in SWEEP] + [grid_case(H, L) for H, L in GRID] + table)
+    inline = ([r for _, r in stefan_sweep] + [r for _, r in spreading_grid]
+              + [secant_solve(*case) for case in table])
+    assert sum(not r.converged for r in inline) == 17
+    calls, integrations, integrate = [0], [0], itm.integrate_inward
+
+    def counted(*args, **kwargs):
+        calls[0] = 0
+        result = integrate(*args, **kwargs)
+        assert calls[0] == 4 * result.steps_taken
+        integrations[0] += 1
+        return result
+
+    def called(rhs):
+        def plain(*args):
+            calls[0] += 1
+            return rhs(*args)
+        return plain
+
+    monkeypatch.setattr(itm, "integrate_inward", counted)
+    for (problem, scaling, config), expected in zip(cases, inline):
+        problem = dataclasses.replace(problem, extended_rhs=called(problem.extended_rhs))
+        result = secant_solve(problem, scaling, config)
+        # repr: every field, exact for every float, and nan equals nan
+        assert repr(result) == repr(expected)
+    assert integrations[0] > len(cases)
