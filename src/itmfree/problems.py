@@ -10,7 +10,7 @@ from collections import namedtuple
 
 from .errors import CheckedRecord, InvalidParams
 from .itm import ExtendedScaling, ReducedFreeBvp
-from .ivp import inline_rhs
+from .ivp import _inline_rhs
 from .similarity import OriginKind, SimilarityExponents
 
 __all__ = [
@@ -37,16 +37,15 @@ STEFAN_GUESSES: dict[float, tuple[float, float]] = {
     50.0: (1e-3, 1e-2),
 }
 
-_STEFAN_RHS = inline_rhs("coef * z * dw")  # coef is the convection coefficient -h^(1/2)/2
+_STEFAN_RHS = _inline_rhs("{a} = coef * {z} * {dw}")  # coef: the convection coefficient -h^(1/2)/2
 # the shifted spreading problem's w''; coef is (h^(1/2), h^2/5)
-_SPREADING_RHS = inline_rhs("""sh, c = coef
-u = w - sh * z
+_SPREADING_RHS = _inline_rhs("""sh, c = coef
+u = {w} - sh * {z}
 if u <= 0.0:  # (V - h^(1/2) eta)^(-3) blows up; diagnose instead of NaN
-    raise SingularRhs(z, f"V - h^(1/2) eta = {u} <= 0 at eta = {z}")
-du = dw - sh
+    raise SingularRhs({z}, f"V - h^(1/2) eta = {{u}} <= 0 at eta = {{{z}}}")
+du = {dw} - sh
 uu = u * u
--3.0 * du * du / u - c * z * du / (uu * u) - c / uu
-""")
+{a} = -3.0 * du * du / u - c * {z} * du / (uu * u) - c / uu""")
 
 
 class StefanParams(CheckedRecord, namedtuple("StefanParams", "S")):

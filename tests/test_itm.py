@@ -548,9 +548,12 @@ def test_config_validation():
         dict(s_star=math.inf, step=1.0),
         dict(h0=1.0, h1=1.0),
         dict(h0=-1.0),  # guesses must be positive: the secant steps in log h*
+        dict(h0=math.inf),
+        dict(h1=math.inf),
         dict(tol=math.nan),
         dict(tol=math.inf),  # |Gamma| <= inf holds at once: "converged" at any iterate
         dict(step=10.0),  # a step longer than s_star would be one step of length s_star
+        dict(step=0.0),  # s_star/step would divide by zero
         dict(s_star=1e300, step=1e-10),  # s_star/step overflows: no finite step count
         dict(s_star=1e50, step=1e-3),  # 1e53 steps: an integration that never ends
         dict(max_iter=0),  # iterate 1 is evaluated before the bound is tested

@@ -6,7 +6,7 @@ import pytest
 from itmfree import ivp
 from itmfree.errors import InvalidParams, SingularRhs
 from itmfree.itm import run_config, secant_solve
-from itmfree.ivp import State2, inline_rhs, integrate_inward
+from itmfree.ivp import State2, _inline_rhs, integrate_inward
 from itmfree.problems import SpreadingParams, StefanParams, make_spreading, make_stefan
 
 
@@ -175,7 +175,8 @@ def test_recorded_profile_matches_reference_rk4_bit_for_bit():
 
 
 def test_inline_rhs_is_the_callable_of_its_body():
-    rhs = inline_rhs("u = w - coef * z\nif u <= 0.0:\n    raise SingularRhs(z)\nu * dw + math.pi")
+    rhs = _inline_rhs("u = {w} - coef * {z}\nif u <= 0.0:\n    raise SingularRhs({z})\n"
+                      "{a} = u * {dw} + math.pi")
     assert rhs(2.0, 0.5, 3.0, 4.0) == 2.0 * 4.0 + math.pi
     with pytest.raises(SingularRhs):
         rhs(2.0, 0.5, 1.0, 4.0)
@@ -185,23 +186,6 @@ def test_inline_rhs_is_the_callable_of_its_body():
     res = integrate_inward(rhs, 0.25, 1.0, start, 64, record_profile=True)
     assert res.endpoint == expected_end
     assert (res.profile.eta, res.profile.u, res.profile.du) == expected
-
-
-@pytest.mark.parametrize("body", [
-    "h = coef * z\nh * dw",  # assigns the loop's step
-    "z = 2.0 * z\ncoef * z",  # assigns an argument, the loop's abscissa
-    "coef * i",  # reads the loop's step index
-    "if z < 0.5:\n    return 0.0\ncoef * z",  # would leave the loop
-])
-def test_inline_rhs_rejects_a_body_that_uses_the_loop(body):
-    with pytest.raises(InvalidParams, match="runs inside the RK4 loop, so it may not hold"):
-        inline_rhs(body)
-
-
-@pytest.mark.parametrize("body", ["", "a = coef * z * dw", "if z < 0.5:\n    coef * z"])
-def test_inline_rhs_rejects_a_body_without_a_final_expression(body):
-    with pytest.raises(InvalidParams, match="must end in the expression of w''"):
-        inline_rhs(body)
 
 
 def test_a_solve_compiles_one_loop_that_every_build_shares():

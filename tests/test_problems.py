@@ -33,10 +33,13 @@ def test_param_validation():
             StefanParams(S=S)
     for H, L in ((math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
                  (0.5, math.inf), (0.5, -math.inf), (0.5, math.nan),
-                 (1e200, -0.5), (-1e200, -0.5), (1e-200, -0.5)):  # H^3 overflows, underflows
+                 (1e200, -0.5), (-1e200, -0.5), (1e-200, -0.5),  # H^3 overflows, underflows
+                 (6e102, -0.5), (1e-108, -0.5)):  # just past the edges of H^3's range
         with pytest.raises(InvalidParams):
             SpreadingParams(H=H, L=L)
     SpreadingParams(H=-0.5, L=0.0)  # negative H and any finite L are allowed
+    for H in (5e102, 1e-100):  # H^3 = 1.25e308 and 1e-300, inside the float range
+        SpreadingParams(H=H, L=-0.5)
 
 
 def test_stefan_extended_degenerates_at_h1():

@@ -23,3 +23,5 @@ def test_internal_and_deleted_names_are_not_exported():
     assert "alpha_from_beta" not in itmfree.__all__
     # asymptotic_eta_w only wrapped a lookup in ASYMPTOTIC_ETA_W, which the CLI reads directly
     assert "asymptotic_eta_w" not in itmfree.__all__
+    # the RK4 loop's code generator serves only the two bundled RHS bodies, so it is private
+    assert "inline_rhs" not in itmfree.__all__
