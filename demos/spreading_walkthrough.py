@@ -14,10 +14,10 @@ from itmfree import (
     SpreadingParams,
     exact_spreading,
     make_spreading,
-    original_profile,
     reconstruct_physical,
     run_config,
     secant_solve,
+    solution_profile,
 )
 from itmfree.problems import spreading_exponents
 
@@ -27,19 +27,18 @@ problem, scaling = make_spreading(SpreadingParams(H=0.5, L=-0.5))
 # run_config keeps the problem's 1,000 RK4 steps and maps the secant pair by the
 # stretching group, so each s* takes the same iterations to the same front.
 for s_star in (0.5, 1.0, 4.0):
-    result = secant_solve(problem, scaling, run_config(problem, scaling, s_star=s_star))
+    config = run_config(problem, scaling, s_star=s_star)
+    result = secant_solve(problem, scaling, config)
     print(f"s* = {s_star}: {result.status.value} after {result.iterations} "
           f"iterations, eta_w = {result.s:.9f}, U(0) = {result.w0:.9f}")
 
 exact_u0 = (17.0 / 40.0) ** (1.0 / 3.0)
 print(f"\nexact: eta_w = 1, U(0) = (17/40)^(1/3) = {exact_u0:.9f}")
 
-# Pointwise comparison of the recovered profile with the exact one.
-profile = original_profile(problem, result.s, 100)
-sup = max(
-    abs(profile.u[i] - exact_spreading(min(e, 1.0)).w)
-    for i, e in enumerate(profile.eta)
-)
+# Pointwise comparison of the last solve's profile, at its 1,001 nodes, with the
+# exact one (whose front is eta_w = 1, so an abscissa just past it is clipped).
+profile = solution_profile(problem, scaling, config, result)
+sup = max(abs(u - exact_spreading(min(e, 1.0)).w) for e, u in zip(profile.eta, profile.u))
 print(f"profile sup-error vs exact solution: {sup:.2e}")
 
 # Physical reconstruction: the current spreads as x_w = eta_w t^(1/5) while

@@ -14,10 +14,10 @@ from itmfree import (
     make_stefan,
     neumann_eta_w,
     neumann_profile,
-    original_profile,
     reconstruct_physical,
     run_config,
     secant_solve,
+    solution_profile,
 )
 from itmfree.problems import stefan_exponents
 
@@ -28,7 +28,8 @@ problem, scaling = make_stefan(StefanParams(S=S))
 
 # 2. Solve: one inward RK4 integration per secant iteration on Gamma(h*), from
 #    the problem's run settings (s* = 1/2, 500 RK4 steps, the estimated pair).
-result = secant_solve(problem, scaling, run_config(problem, scaling))
+config = run_config(problem, scaling)
+result = secant_solve(problem, scaling, config)
 
 print(f"status      : {result.status.value} after {result.iterations} iterations")
 print(f"front eta_w : {result.s:.9f}")
@@ -43,11 +44,9 @@ for j, it in enumerate(result.trace):
 root = neumann_eta_w(S)
 print(f"\nclosed-form eta_w : {root:.9f}   (ITM differs by {result.s - root:+.2e})")
 
-profile = original_profile(problem, result.s, 100)
-sup = max(
-    abs(profile.u[i] - neumann_profile(min(e, result.s), result.s).w)
-    for i, e in enumerate(profile.eta)
-)
+# The converged solution at the solve's 501 nodes, from eta = 0 to eta_w.
+profile = solution_profile(problem, scaling, config, result)
+sup = max(abs(u - neumann_profile(e, result.s).w) for e, u in zip(profile.eta, profile.u))
 print(f"profile sup-error vs closed form: {sup:.2e}")
 
 # 4. Back to physical variables: the melt front moves as x_w = eta_w sqrt(t).

@@ -135,8 +135,8 @@ class ItmConfig(CheckedRecord,
         # a longer step would silently become one step of length s_star
         if not 0.0 < step <= s_star:
             raise InvalidParams(f"step must lie in (0, s_star = {s_star}], got {step}")
-        if not s_star / step <= _MAX_STEPS:  # each Gamma evaluation takes s_star/step steps
-            raise InvalidParams(f"step {step} at s_star = {s_star} asks for {s_star / step:.3g} "
+        if not s_star / step < _MAX_STEPS + 0.5:  # round(s_star/step) steps per Gamma evaluation
+            raise InvalidParams(f"step {step} at s_star = {s_star} asks for {s_star / step:.10g} "
                                 f"RK4 steps per integration, more than {_MAX_STEPS}")
         if not 0.0 < tol < math.inf:  # a nan tol could never be met, an inf one always is
             raise InvalidParams(f"tol must be positive and finite, got {tol}")
@@ -226,7 +226,7 @@ def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     """
     s_star = config.s_star
     y_start = State2(*problem.extended_boundary(h_star, s_star))
-    # ItmConfig keeps 0 < step <= s* and s*/step <= _MAX_STEPS, so this is at least 1
+    # ItmConfig keeps 0 < step <= s* and this count <= _MAX_STEPS, so it is at least 1
     n_steps = round(s_star / config.step)
     res = integrate_inward(problem.extended_rhs, problem.coefficients(h_star),
                            s_star, y_start, n_steps)

@@ -65,8 +65,6 @@ class SpreadingParams(CheckedRecord, namedtuple("SpreadingParams", "H L")):
     __slots__ = ()
 
     def __new__(cls, H: float, L: float) -> SpreadingParams:
-        if not (math.isfinite(H) and H != 0.0):
-            raise InvalidParams(f"H must be finite and nonzero, got {H}")
         try:
             cube = H ** 3  # the front slope divides by it
         except OverflowError:

@@ -13,7 +13,7 @@ from math import erf
 
 from .errors import InvalidParams
 from .ivp import State2
-from .problems import SpreadingParams
+from .problems import SpreadingParams, StefanParams
 
 __all__ = [
     "erf",
@@ -49,8 +49,7 @@ def neumann_eta_w(S: float) -> float:
     direction, then polished with a few Newton steps on the equation in log
     form; the returned root has residual <= 1e-12.
     """
-    if not 0.0 < S < math.inf:
-        raise InvalidParams(f"S must be positive and finite, got {S}")
+    StefanParams(S)  # 0 < S < inf
     lo, hi = 1e-12, 4.0
     while _front_equation(S, hi) < 0.0:
         lo, hi = hi, 2.0 * hi

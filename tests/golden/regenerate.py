@@ -9,6 +9,12 @@ command, run in-process, with ``wall_time_s`` masked. ``solves.json`` holds
 ``float.hex`` of s and h*, the iteration count and the status of the
 benchmark's 61-case Stefan sweep and 30-case spreading grid, each solved
 through the CLI's default path (``cli._solve``).
+
+The script needs only the standard library and ``itmfree``, so CI also runs it
+as the dependency-free check: on the bare interpreter, before anything is
+installed, and with warnings as errors. That replay runs every command below
+and every sweep and grid solve; on Linux, ``git diff --exit-code -- tests/golden``
+then fails the job if any file changed.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ COMMANDS: dict[str, list[str]] = {
     "spread_trace.json": ["spread", "--format", "json", "--trace"],
     "stefan_S1e-300_trace.json": ["stefan", "--S", "1e-300", "--format", "json", "--trace"],
     "spread_H0.1.json": ["spread", "--H", "0.1", "--format", "json"],  # singular, exit 4
+    # the last iterate's values and a nested trace table, exit 2
+    "stefan_max_iter_2_trace.txt": ["stefan", "--max-iter", "2", "--trace"],
     "stefan_explicit_step_h0.json": ["stefan", "--S", "0.2", "--steps", "50", "--h0", "3",
                                      "--format", "json"],
     "stefan_s_star_4.json": ["stefan", "--S", "1", "--s-star", "4", "--format", "json"],
@@ -44,12 +52,17 @@ COMMANDS: dict[str, list[str]] = {
 }
 
 
+def mask_wall_time(text: str) -> str:
+    """``text`` with the value of ``wall_time_s``, a JSON or a human key, replaced by X."""
+    return re.sub(r'(wall_time_s"?: )\S+', r"\1X", text)
+
+
 def stdout_of(argv: list[str]) -> str:
-    """The stdout of ``itmfree argv``, with the value of ``wall_time_s`` replaced by X."""
+    """The stdout of ``itmfree argv``, with ``wall_time_s`` masked."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         cli.main(argv)
-    return re.sub(r'("wall_time_s": )\S+', r"\1X", out.getvalue())
+    return mask_wall_time(out.getvalue())
 
 
 def solves() -> dict[str, list[dict]]:

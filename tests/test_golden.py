@@ -9,6 +9,10 @@ CHANGES.md; the diff of the files then shows the change.
 
 The solves call libm's exp, log, log1p and pow, so the files are compared on
 Linux, where they are generated, and skipped elsewhere.
+
+CI also replays ``regenerate.py`` itself on the bare interpreter, before the
+test dependencies are installed, and on Linux fails if ``git diff`` then shows
+a changed file: the same comparison, with no pytest, numpy or hypothesis.
 """
 
 import json

@@ -210,6 +210,9 @@ def test_steps_must_be_nonzero():
             run_config(dataclasses.replace(problem, steps=steps), scaling)
         with pytest.raises(InvalidParams, match=message):
             run_config(problem, scaling, steps=steps)
+    # the ceiling itself runs at every s*: at this one s*/step is 10000000.000000002
+    config = run_config(problem, scaling, s_star=78.87444788003997, steps=10 ** 7)
+    assert round(config.s_star / config.step) == 10 ** 7
 
 
 def test_secant_solve_stefan_converges(stefan_s1):
@@ -556,6 +559,7 @@ def test_config_validation():
         dict(step=0.0),  # s_star/step would divide by zero
         dict(s_star=1e300, step=1e-10),  # s_star/step overflows: no finite step count
         dict(s_star=1e50, step=1e-3),  # 1e53 steps: an integration that never ends
+        dict(s_star=78.87444788003997, step=78.87444788003997 / (10 ** 7 + 1)),  # one past 10^7
         dict(max_iter=0),  # iterate 1 is evaluated before the bound is tested
         dict(max_iter=-3),
     ):
