@@ -28,9 +28,8 @@ from collections import namedtuple
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import InvalidParams
-from .itm import (_MAX_STEPS, ItmConfig, ItmResult, ItmStatus, run_config, secant_solve,
-                  solution_profile)
-from .ivp import SolutionProfile
+from .itm import ItmConfig, ItmResult, ItmStatus, run_config, secant_solve, solution_profile
+from .ivp import _MAX_STEPS, SolutionProfile
 from .problems import (STEFAN_GUESSES, SpreadingParams, StefanParams, make_spreading,
                        make_stefan, spreading_exponents, stefan_exponents)
 from .reference import ASYMPTOTIC_ETA_W, exact_spreading, neumann_eta_w

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .errors import CheckedRecord, InvalidParams, OmegaNonPositive, SingularRhs
-from .ivp import SolutionProfile, State2, integrate_inward
+from .ivp import _MAX_STEPS, SolutionProfile, State2, integrate_inward
 
 __all__ = [
     "ReducedFreeBvp",
@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 _DEFAULT_S_STAR = 0.5  # the starred boundary of every problem's own run settings
-_MAX_STEPS = 10 ** 7  # RK4 steps per integration: about 10 s at 1 us per step
 
 
 def _identity_output(eta: float, w: float, dw: float) -> tuple[float, float]:

@@ -39,13 +39,12 @@ STEFAN_GUESSES: dict[float, tuple[float, float]] = {
 
 _STEFAN_RHS = _inline_rhs("{a} = coef * {z} * {dw}")  # coef: the convection coefficient -h^(1/2)/2
 # the shifted spreading problem's w''; coef is (h^(1/2), h^2/5)
-_SPREADING_RHS = _inline_rhs("""sh, c = coef
-u = {w} - sh * {z}
+_SPREADING_RHS = _inline_rhs("""u = {w} - sh * {z}
 if u <= 0.0:  # (V - h^(1/2) eta)^(-3) blows up; diagnose instead of NaN
     raise SingularRhs({z}, f"V - h^(1/2) eta = {{u}} <= 0 at eta = {{{z}}}")
 du = {dw} - sh
 uu = u * u
-{a} = -3.0 * du * du / u - c * {z} * du / (uu * u) - c / uu""")
+{a} = -3.0 * du * du / u - c * {z} * du / (uu * u) - c / uu""", prelude="sh, c = coef")
 
 
 class StefanParams(CheckedRecord, namedtuple("StefanParams", "S")):

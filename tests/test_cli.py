@@ -716,12 +716,13 @@ def test_cli_import_loads_no_json_and_one_dataclass():
     # json is loaded only to write JSON output. The record types are namedtuples,
     # built without the code generation of dataclasses; ReducedFreeBvp stays a
     # dataclass while the benchmark's tracer swaps its RHS with dataclasses.replace,
-    # until ROADMAP item 5 moves the tracer off it. No RK4 loop is compiled before the
-    # first integration asks for one
+    # until ROADMAP item 5 moves the tracer off it. No RK4 loop is compiled, and no array
+    # of step ends is built, before the first integration asks for one
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     code = ("import dataclasses, sys, itmfree, itmfree.cli; assert 'json' not in sys.modules; "
             "assert itmfree.ivp._loop.cache_info().currsize == 0, 'a loop compiled at import'; "
+            "assert itmfree.ivp._abscissae.cache_info().currsize == 0, 'step ends at import'; "
             "print(*[n for n in itmfree.__all__ if dataclasses.is_dataclass(getattr(itmfree, n))])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,5 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -142,6 +143,10 @@ def test_direction_and_step_validation():
             integrate_inward(rhs, None, z_start, State2(0.0, 1.0), 10)
     with pytest.raises(InvalidParams, match="n_steps must be >= 1"):
         integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), 0)
+    # a float would fail in the loop, and True would run one step as steps_taken=True
+    for n_steps in (2.5, 3.0, True, 10 ** 7 + 1):
+        with pytest.raises(InvalidParams, match="an int <= 10000000"):
+            integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), n_steps)
     for start in (State2(float("inf"), 1.0), State2(0.0, float("nan"))):
         with pytest.raises(SingularRhs) as exc:
             integrate_inward(rhs, None, 1.0, start, 10)
@@ -193,6 +198,65 @@ def test_a_solve_compiles_one_loop_that_every_build_shares():
     problems = [make_stefan(StefanParams(S=S)) for S in (1.0, 5.0)]
     for problem, scaling in problems:
         secant_solve(problem, scaling, run_config(problem, scaling))
-    assert ivp._loop.cache_info().misses == 1  # compiled at the first integration only
-    a, b = (problem.extended_rhs.inline_body for problem, _ in problems)
-    assert ivp._loop(a) is ivp._loop(b)
+    # compiled at the first integration only: every run ends finite, so none is re-run checked
+    assert ivp._loop.cache_info().misses == 1
+    a, b = (problem.extended_rhs.inline for problem, _ in problems)
+    assert ivp._loop(*a, False) is ivp._loop(*b, False)
+
+
+def _outcome(rhs, coef, z_start, start, n_steps):
+    try:
+        return integrate_inward(rhs, coef, z_start, start, n_steps).endpoint
+    except SingularRhs as exc:
+        return exc.abscissa, str(exc)
+
+
+def _called(rhs):
+    return lambda *args: rhs(*args)  # no inline body: the checked loop that calls rhs
+
+
+@pytest.mark.parametrize("then_raise", [False, True])
+@pytest.mark.parametrize("value", ["math.inf", "-math.inf", "math.nan", "1e300 * {w} * {w}"])
+def test_inline_run_turning_non_finite_fails_as_the_called_run(value, then_raise):
+    # the state turns non-finite below z = coef with nothing raised, and with then_raise the
+    # body raises further in; the unchecked loop runs on past that step, to a non-finite end
+    # or the raise, and the checked re-run reports the step it happened at
+    body = f"{{a}} = ({value} if {{z}} < coef else 1.0)"
+    if then_raise:
+        body = "if {z} < coef / 2:\n    raise SingularRhs({z}, 'raised')\n" + body
+    rhs = _inline_rhs(body)
+    start = State2(1.0, -1.0)
+    called = _outcome(_called(rhs), 0.37, 1.0, start, 100)
+    assert isinstance(called, tuple)  # failed
+    assert _outcome(rhs, 0.37, 1.0, start, 100) == called
+    assert 0.0 < called[0] < 0.37  # the step it happened at, not the end
+
+
+@pytest.mark.parametrize("H, L, h_star", [(0.1, -2.0, 0.5), (2.0, 0.0, 0.01), (1.0, 1.0, 0.1)])
+def test_inline_run_that_raises_fails_as_the_called_run(H, L, h_star):
+    # spreading raises SingularRhs where V - h^(1/2) eta <= 0: in the first step at H = 0.1,
+    # mid-run in the other two
+    problem, _ = make_spreading(SpreadingParams(H=H, L=L))
+    start = State2(*problem.extended_boundary(h_star, 0.5))
+    rhs, coef = problem.extended_rhs, problem.coefficients(h_star)
+    called = _outcome(_called(rhs), coef, 0.5, start, 1000)
+    assert isinstance(called, tuple)
+    assert _outcome(rhs, coef, 0.5, start, 1000) == called
+
+
+@pytest.mark.parametrize("z_start", [0.5, 1.0, 78.87444788003997, 1e-300, 1e300])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 49, 500, 1000, 2000])
+def test_step_ends_are_the_indexed_abscissae_bit_for_bit(z_start, n_steps):
+    # the last end is 0.0 itself: at n = 49 and z_start 0.5 or 1.0, z_start + n*h is not 0.0
+    h = -z_start / n_steps
+    expected = [z_start + i * h if i < n_steps else 0.0 for i in range(1, n_steps + 1)]
+    assert ivp._abscissae(z_start, n_steps).tobytes() == array("d", expected).tobytes()
+
+
+def test_step_end_cache_holds_at_most_two_arrays():
+    ivp._abscissae.cache_clear()
+    rhs = lambda _, z, w, dw: w
+    for z_start in (0.5, 1.0, 2.0, 0.5, 3.0):
+        integrate_inward(rhs, None, z_start, State2(1.0, 0.0), 10)
+        assert ivp._abscissae.cache_info().currsize <= 2
+    assert ivp._abscissae.cache_info().maxsize == 2
