@@ -2,7 +2,7 @@
 
 A problem of the form
 
-    w'' = f(z, w, w'),  g(w(0), w'(0)) = C,  w(s) = j(s),  w'(s) = l(s)
+    w'' = f(z, w, w'),  g(w(0), w'(0)) = 1,  w(s) = j(s),  w'(s) = l(s)
 
 with unknown free boundary s is embedded in an extended problem carrying a
 parameter h; the extension is chosen to be partially invariant under the
@@ -11,9 +11,9 @@ inward RK4 integration of the extended problem from a fixed starred boundary
 s* yields w*(0) and w*'(0). The origin condition has a group weight k,
 g(omega w, omega^(1-delta) w') = omega^k g(w, w'), so the group parameter is
 
-    omega = (g(w*(0), w*'(0)) / C)^(1/k) ,
+    omega = g(w*(0), w*'(0))^(1/k) ,
 
-defined only when the ratio is positive, and it gives the transformation
+defined only when g is positive, and it gives the transformation
 function
 
     Gamma(h*) = omega^(-sigma) h* - 1 ,
@@ -59,11 +59,6 @@ def _identity_output(eta: float, w: float, dw: float) -> tuple[float, float]:
     return w, dw
 
 
-def _require_finite_nonzero(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value != 0.0):
-        raise InvalidParams(f"{name} must be finite and nonzero, got {value}")
-
-
 def _power(base: float, exponent: float) -> float:
     """base ** exponent for base > 0, with an overflow giving inf as in IEEE arithmetic."""
     try:
@@ -81,17 +76,15 @@ class ReducedFreeBvp:
     and ``extended_rhs(coef, z, w, dw)`` returns w'' of the extended problem
     given them. ``extended_boundary(h, s)`` returns (w(s), w'(s)); at h = 1
     both are the original problem.
-    ``origin_condition(w, dw)`` is g in g(w(0), w'(0)) = C, and C is
-    ``origin_constant``, finite and nonzero: a homogeneous condition must be
-    shifted first. ``run_config`` starts from ``steps`` (RK4 steps) and
-    ``guesses`` (secant pair at s* = 1/2). ``to_original(eta, w, dw)`` returns
-    (u, du), undoing that shift (identity when no shift was needed).
-    ``rhs(z, w, dw)`` is the h = 1 view of ``extended_rhs`` for callers of the
-    original problem; the solver does not read it.
+    ``origin_condition(w, dw)`` is g in g(w(0), w'(0)) = 1: a condition
+    g = C is written g/C, and a homogeneous one must be shifted first.
+    ``run_config`` starts from ``steps`` (RK4 steps) and ``guesses`` (secant
+    pair at s* = 1/2). ``to_original(eta, w, dw)`` returns (u, du), undoing
+    that shift (identity when no shift was needed). ``rhs`` is read by
+    nothing and is left None.
     """
 
     origin_condition: Callable[[float, float], float]
-    origin_constant: float
     extended_rhs: Callable[[Any, float, float, float], float]
     extended_boundary: Callable[[float, float], tuple[float, float]]
     coefficients: Callable[[float], Any]
@@ -100,13 +93,6 @@ class ReducedFreeBvp:
     to_original: Callable[[float, float, float], tuple[float, float]] = _identity_output
     rhs: Optional[Callable[[float, float, float], float]] = None
 
-    def __post_init__(self) -> None:
-        if self.rhs is None:
-            coefficients, extended_rhs = self.coefficients, self.extended_rhs
-            object.__setattr__(self, "rhs",
-                               lambda z, w, dw: extended_rhs(coefficients(1.0), z, w, dw))
-        _require_finite_nonzero("origin constant", self.origin_constant)
-
 
 class ExtendedScaling(CheckedRecord, namedtuple("ExtendedScaling", "delta sigma origin_weight")):
     """Group exponents (delta, sigma) and the group weight k of the origin condition."""
@@ -114,7 +100,8 @@ class ExtendedScaling(CheckedRecord, namedtuple("ExtendedScaling", "delta sigma 
     __slots__ = ()
 
     def __new__(cls, delta: float, sigma: float, origin_weight: float) -> ExtendedScaling:
-        _require_finite_nonzero("origin weight", origin_weight)
+        if not (math.isfinite(origin_weight) and origin_weight != 0.0):
+            raise InvalidParams(f"origin weight must be finite and nonzero, got {origin_weight}")
         return super().__new__(cls, delta, sigma, origin_weight)
 
 
@@ -160,7 +147,7 @@ def run_config(problem: ReducedFreeBvp, scaling: ExtendedScaling, s_star: Option
     pair is two distinct positive finite floats."""
     s_star = _DEFAULT_S_STAR if s_star is None else s_star
     steps = problem.steps if steps is None else steps
-    if not (isinstance(steps, int) and 1 <= steps <= _MAX_STEPS):  # 2.5 would run 2 steps
+    if not (type(steps) is int and 1 <= steps <= _MAX_STEPS):  # 2.5 would run 2 steps
         raise InvalidParams(f"steps must be an int in [1, {_MAX_STEPS}], got {steps!r}")
     step = s_star / steps  # at a subnormal s*, evaluate_gamma's round(s_star / step) is not n
     if 0.0 < step and s_star < math.inf and round(s_star / step) != steps:
@@ -217,11 +204,10 @@ def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
                    ) -> tuple[float, float, State2]:
     """One inward integration of the extended problem; returns (Gamma, omega, endpoint).
 
-    omega = (g(w*(0), w*'(0)) / C)^(1/k). Raises SingularRhs if the
-    integration starts from a non-finite state or hits a singularity, and
-    OmegaNonPositive if the ratio g/C is not positive or omega is not a
-    positive finite float. Gamma is +inf when 1 + Gamma exceeds the float
-    range.
+    omega = g(w*(0), w*'(0))^(1/k). Raises SingularRhs if the integration
+    starts from a non-finite state or hits a singularity, and
+    OmegaNonPositive if g is not positive or omega is not a positive finite
+    float. Gamma is +inf when 1 + Gamma exceeds the float range.
     """
     s_star = config.s_star
     y_start = State2(*problem.extended_boundary(h_star, s_star))
@@ -229,10 +215,10 @@ def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     n_steps = round(s_star / config.step)
     res = integrate_inward(problem.extended_rhs, problem.coefficients(h_star),
                            s_star, y_start, n_steps)
-    ratio = problem.origin_condition(*res.endpoint) / problem.origin_constant
-    if not ratio > 0.0:
-        raise OmegaNonPositive(f"g(w*(0), w*'(0))/C = {ratio} at h* = {h_star} is not positive")
-    omega = _power(ratio, 1.0 / scaling.origin_weight)
+    g = problem.origin_condition(*res.endpoint)
+    if not g > 0.0:
+        raise OmegaNonPositive(f"g(w*(0), w*'(0)) = {g} at h* = {h_star} is not positive")
+    omega = _power(g, 1.0 / scaling.origin_weight)
     if not 0.0 < omega < math.inf:
         raise OmegaNonPositive(f"omega = {omega} at h* = {h_star}")
     # an infinite Gamma leaves the secant's residual log h* - sigma log omega finite

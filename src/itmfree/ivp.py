@@ -137,16 +137,16 @@ def integrate_inward(rhs: Rhs, coef: Any, z_start: float, y_start: State2, n_ste
     ``record_profile`` the result carries every accepted step. The step ends of the last two
     (z_start, n_steps) are cached: at most 2 arrays of 8 bytes per step, 160 MB at 10^7 steps.
 
-    Raises InvalidParams unless n_steps is an int in [1, 10^7] and z_start is positive, and
-    SingularRhs if the start state is not finite (at z_start), or if a step's arithmetic
-    fails or ends in a non-finite state (at the abscissa that step ends on). Every stage
-    value enters the step's sums with a nonzero weight, so a non-finite stage makes the new
-    state non-finite.
+    Raises InvalidParams unless n_steps is an int in [1, 10^7] and z_start is positive and
+    finite, and SingularRhs if the start state is not finite (at z_start), or if a step's
+    arithmetic fails or ends in a non-finite state (at the abscissa that step ends on). Every
+    stage value enters the step's sums with a nonzero weight, so a non-finite stage makes the
+    new state non-finite.
     """
     if not (type(n_steps) is int and 1 <= n_steps <= _MAX_STEPS):  # True, 2.5: not a count
         raise InvalidParams(f"n_steps must be >= 1, an int <= {_MAX_STEPS}, got {n_steps!r}")
-    if not z_start > 0.0:
-        raise InvalidParams(f"inward integration requires z_start > 0, got {z_start}")
+    if not 0.0 < z_start < math.inf:  # at inf the step ends would all be nan
+        raise InvalidParams(f"inward integration requires z_start > 0 and finite, got {z_start}")
     if not (math.isfinite(y_start.w) and math.isfinite(y_start.dw)):
         raise SingularRhs(z_start, f"start state (w, w') = ({y_start.w!r}, {y_start.dw!r}) "
                                    f"at z = {z_start!r} is not finite")

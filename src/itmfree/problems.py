@@ -100,7 +100,6 @@ def make_stefan(params: StefanParams) -> tuple[ReducedFreeBvp, ExtendedScaling]:
     S = params.S
     problem = ReducedFreeBvp(
         origin_condition=lambda w, dw: w,
-        origin_constant=1.0,
         extended_rhs=_STEFAN_RHS,
         extended_boundary=lambda h, s: (0.0, -0.5 * h ** 0.75 * S * s),
         coefficients=lambda h: -0.5 * math.sqrt(h),  # the convection coefficient
@@ -129,7 +128,6 @@ def make_spreading(params: SpreadingParams) -> tuple[ReducedFreeBvp, ExtendedSca
     slope = L / (5.0 * H ** 3) + 1.0
     problem = ReducedFreeBvp(
         origin_condition=lambda w, dw: dw,
-        origin_constant=1.0,
         extended_rhs=_SPREADING_RHS,
         extended_boundary=lambda h, s: (h * H + math.sqrt(h) * s, math.sqrt(h) * slope),
         to_original=lambda eta, w, dw: (w - eta, dw - 1.0),

@@ -448,14 +448,14 @@ def test_check_invariance_csv(capsys):
 
 
 def test_csv_quotes_a_cell_holding_a_comma(capsys):
-    # the omega_non_positive message holds "g(w*(0), w*'(0))/C"
+    # the omega_non_positive message holds "g(w*(0), w*'(0))"
     code, out, err = run(capsys, ["spread", "--H", "0.25", "--L", "-2", "--h0", "100",
                                   "--h1", "316", "--format", "csv"])
     assert code == 2
     header, row = csv.reader(io.StringIO(out))
     assert len(header) == len(row)
     message = dict(zip(header, row))["result.message"]
-    assert message.startswith("g(w*(0), w*'(0))/C = -") and message.endswith(" is not positive")
+    assert message.startswith("g(w*(0), w*'(0)) = -") and message.endswith(" is not positive")
     assert err == f"error: solve did not converge: omega_non_positive: {message}\n"
 
 

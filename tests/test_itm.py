@@ -38,10 +38,9 @@ GAMMA_SPREADING = {
 
 def constant_problem(boundary_value):
     """w'' = 0 and w' = 0, so w*(0) = boundary_value(h*, s*) exactly and, with
-    g = w, C = 1 and weight 1, omega = boundary_value(h*, s*)."""
+    g = w and weight 1, omega = boundary_value(h*, s*)."""
     return ReducedFreeBvp(
         origin_condition=lambda w, dw: w,
-        origin_constant=1.0,
         extended_rhs=lambda h, z, w, dw: 0.0,
         extended_boundary=lambda h, s: (boundary_value(h, s), 0.0),
         coefficients=lambda h: h,
@@ -190,21 +189,19 @@ def test_root_at_a_burn_in_guess_needs_both_stopping_clauses():
     assert result.w0 == pytest.approx(exact_spreading(0.0, 1000.0, -0.5).w, rel=1e-9)
 
 
-def test_origin_constant_and_weight_must_be_finite_and_nonzero():
-    # omega = (g/C)^(1/k) needs C != 0 (a homogeneous condition must be
-    # shifted first) and a weight k != 0
+def test_origin_weight_must_be_finite_and_nonzero():
+    # omega = g^(1/k) needs a weight k != 0
     for value in (0.0, math.inf, -math.inf, math.nan):
-        with pytest.raises(InvalidParams, match="origin constant must be finite and nonzero"):
-            dataclasses.replace(constant_problem(lambda h, s: 1.0), origin_constant=value)
         with pytest.raises(InvalidParams, match="origin weight must be finite and nonzero"):
             ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=value)
 
 
 def test_steps_must_be_nonzero():
     # run_config alone checks n, from the problem or from the caller: step = s*/n
-    # would divide by 0, 2.5 would run 2 steps and 10^7 + 1 is beyond the ceiling
+    # would divide by 0, 2.5 would run 2 steps, True is no count (it would run one step)
+    # and 10^7 + 1 is beyond the ceiling
     problem, scaling = make_stefan(StefanParams(S=1.0))
-    for steps in (0, -5, 2.5, 10 ** 7 + 1):
+    for steps in (0, -5, 2.5, True, 10 ** 7 + 1):
         message = re.escape(f"steps must be an int in [1, 10000000], got {steps!r}")
         with pytest.raises(InvalidParams, match=message):
             run_config(dataclasses.replace(problem, steps=steps), scaling)
@@ -293,12 +290,13 @@ def test_extended_degeneracy_at_h1(spreading_problem):
     zs = np.linspace(0.05, 1.0, 20)
     for z in zs:
         y = State2(1.3 + 0.2 * z, 0.4)
-        # the original RHS is the extended one at h = 1, unless one is given
-        assert problem.rhs(z, *y) == problem.extended_rhs(problem.coefficients(1.0), z, *y)
+        # the extended RHS at h = 1 is the original problem's V''
+        u, du = y.w - z, y.dw - 1.0
+        expected = -3.0 * du * du / u - z * du / (5.0 * u ** 3) - 1.0 / (5.0 * u ** 2)
+        assert problem.extended_rhs(problem.coefficients(1.0), z, *y) == pytest.approx(
+            expected, rel=1e-12)
         # V(s) = H + s and V'(s) = L/(5 H^3) + 1 at h = 1
         assert problem.extended_boundary(1.0, z) == (0.5 + z, -0.5 / (5.0 * 0.5 ** 3) + 1.0)
-    given = dataclasses.replace(problem, rhs=lambda z, w, dw: 7.0)
-    assert given.rhs(0.5, 1.0, 1.0) == 7.0
 
 
 def test_coefficients_run_once_per_integration():
@@ -315,8 +313,7 @@ def test_coefficients_run_once_per_integration():
         seen.append(coef)
         return 0.0
 
-    problem = ReducedFreeBvp(origin_condition=lambda w, dw: w, origin_constant=1.0,
-                             extended_rhs=extended_rhs,
+    problem = ReducedFreeBvp(origin_condition=lambda w, dw: w, extended_rhs=extended_rhs,
                              extended_boundary=lambda h, s: (h, 0.0),
                              coefficients=coefficients, steps=5, guesses=(2.0, 3.0))
     scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
@@ -511,18 +508,34 @@ def test_run_config_rejects_a_step_that_runs_another_count(steps, runs):
 
 
 def test_omega_non_positive_is_a_status():
-    # g/C = w*(0) = 1 - h*, which is -1 at h1 = 2
+    # g = w*(0) = 1 - h*, which is -1 at h1 = 2
     scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
     result = secant_solve(constant_problem(lambda h, s: 1.0 - h), scaling,
                           ItmConfig(s_star=1.0, step=0.1, h0=0.5, h1=2.0))
     assert result.status is ItmStatus.OMEGA_NON_POSITIVE
     assert result.h_star == 2.0 and len(result.trace) == 1  # h1 failed, index 1
-    assert result.message == "g(w*(0), w*'(0))/C = -1.0 at h* = 2.0 is not positive"
+    assert result.message == "g(w*(0), w*'(0)) = -1.0 at h* = 2.0 is not positive"
     assert math.isnan(result.omega) and math.isnan(result.abscissa)
 
 
+def test_origin_condition_g_equal_to_c_is_written_g_over_c():
+    # a problem states g(w(0), w'(0)) = 1: the condition w(0) = C is g = w/C, so
+    # with weight 1 omega = w*(0)/C, and a negative C leaves no positive g
+    scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
+    config = ItmConfig(s_star=1.0, step=0.1, h0=0.5, h1=2.0)
+    for C in (2.0, 0.25):
+        problem = dataclasses.replace(constant_problem(lambda h, s: 3.0),
+                                      origin_condition=lambda w, dw: w / C)
+        assert evaluate_gamma(problem, scaling, 0.5, config)[1] == 3.0 / C
+    problem = dataclasses.replace(constant_problem(lambda h, s: 3.0),
+                                  origin_condition=lambda w, dw: w / -1.0)
+    result = secant_solve(problem, scaling, config)
+    assert result.status is ItmStatus.OMEGA_NON_POSITIVE
+    assert result.message == "g(w*(0), w*'(0)) = -3.0 at h* = 0.5 is not positive"
+
+
 def test_omega_beyond_float_range_is_a_status():
-    # g/C = 1e300 is positive, but omega = (g/C)^(1/k) = 1e3000 for k = 0.1
+    # g = 1e300 is positive, but omega = g^(1/k) = 1e3000 for k = 0.1
     scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=0.1)
     result = secant_solve(constant_problem(lambda h, s: 1e300), scaling,
                           ItmConfig(s_star=1.0, step=0.1, h0=0.5, h1=2.0))
@@ -534,14 +547,14 @@ def test_omega_beyond_float_range_is_a_status():
 @pytest.mark.parametrize("H, L", [(0.25, -0.5), (0.1, -0.5)])
 def test_sign_flipped_root_is_omega_non_positive(H, L):
     # near h* = 100..316 the extended spreading problem has V*'(0) < 0, and
-    # V*'(0)^2 has a root there with U'(0) = -2; the signed ratio g/C = V*'(0)
+    # V*'(0)^2 has a root there with U'(0) = -2; the signed g = V*'(0)
     # rejects it at the first guess
     problem, scaling = make_spreading(SpreadingParams(H=H, L=L))
     result = secant_solve(problem, scaling,
                           ItmConfig(s_star=0.5, step=5e-4, h0=100.0, h1=316.0))
     assert result.status is ItmStatus.OMEGA_NON_POSITIVE
     assert result.h_star == 100.0 and result.trace == []
-    assert result.message.startswith("g(w*(0), w*'(0))/C = -")
+    assert result.message.startswith("g(w*(0), w*'(0)) = -")
 
 
 def test_config_validation():

@@ -138,9 +138,12 @@ def test_determinism():
 
 def test_direction_and_step_validation():
     rhs = lambda _, z, w, dw: 0.0
-    for z_start in (0.0, -1.0, math.nan):
+    cached = ivp._abscissae.cache_info()
+    # at inf every step end would be nan: rejected before any is computed or cached
+    for z_start in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(InvalidParams, match="inward integration requires z_start > 0"):
             integrate_inward(rhs, None, z_start, State2(0.0, 1.0), 10)
+    assert ivp._abscissae.cache_info() == cached
     with pytest.raises(InvalidParams, match="n_steps must be >= 1"):
         integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), 0)
     # a float would fail in the loop, and True would run one step as steps_taken=True

@@ -47,7 +47,7 @@ def test_stefan_extended_degenerates_at_h1():
     y = State2(0.3, 0.7)
     for z in np.linspace(0.0, 1.5, 11):
         # the RHS derived at h = 1 is the original U'' = -(1/2) eta U', bit for bit
-        assert problem.rhs(z, *y) == -0.5 * z * y.dw
+        assert problem.extended_rhs(problem.coefficients(1.0), z, *y) == -0.5 * z * y.dw
     # at h = 1 the boundary data are the original U(eta_w) = 0, U'(eta_w) = -(S/2) eta_w
     assert problem.extended_boundary(1.0, 0.8) == (0.0, -0.5 * 2.0 * 0.8)
 
@@ -58,7 +58,8 @@ def test_spreading_extended_degenerates_at_h1():
     # U'' = -3 U'^2/U - eta U'/(5 U^3) - 1/(5 U^2) at U = 0.3, U' = -0.5
     u, du = 0.3, -0.5
     expected = -3.0 * du * du / u - 0.7 * du / (5.0 * u ** 3) - 1.0 / (5.0 * u ** 2)
-    assert problem.rhs(0.7, *y) == pytest.approx(expected, rel=1e-12)
+    assert problem.extended_rhs(problem.coefficients(1.0), 0.7, *y) == pytest.approx(
+        expected, rel=1e-12)
     # at h = 1 the boundary data are V(s) = H + s and V'(s) = L/(5 H^3) + 1
     assert problem.extended_boundary(1.0, 0.7) == (0.5 + 0.7, -0.5 / (5.0 * 0.5 ** 3) + 1.0)
 
