@@ -31,11 +31,11 @@ import enum
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
 
 from .errors import CheckedRecord, InvalidParams, OmegaNonPositive, SingularRhs
-from .ivp import _MAX_STEPS, SolutionProfile, State2, integrate_inward
+from .ivp import _MAX_STEPS, Rhs, SolutionProfile, State2, integrate_inward
 
 __all__ = [
     "ReducedFreeBvp",
@@ -85,13 +85,13 @@ class ReducedFreeBvp:
     """
 
     origin_condition: Callable[[float, float], float]
-    extended_rhs: Callable[[Any, float, float, float], float]
+    extended_rhs: Rhs
     extended_boundary: Callable[[float, float], tuple[float, float]]
-    coefficients: Callable[[float], Any]
+    coefficients: Callable[[float], object]
     steps: int
     guesses: tuple[float, float]
     to_original: Callable[[float, float, float], tuple[float, float]] = _identity_output
-    rhs: Optional[Callable[[float, float, float], float]] = None
+    rhs: Callable[[float, float, float], float] | None = None
 
 
 class ExtendedScaling(CheckedRecord, namedtuple("ExtendedScaling", "delta sigma origin_weight")):
@@ -136,9 +136,9 @@ class ItmConfig(CheckedRecord,
         return self
 
 
-def run_config(problem: ReducedFreeBvp, scaling: ExtendedScaling, s_star: Optional[float] = None,
-               steps: Optional[int] = None, h0: Optional[float] = None,
-               h1: Optional[float] = None, **rest: Any) -> ItmConfig:
+def run_config(problem: ReducedFreeBvp, scaling: ExtendedScaling, s_star: float | None = None,
+               steps: int | None = None, h0: float | None = None,
+               h1: float | None = None, **rest: object) -> ItmConfig:
     """The ItmConfig of the problem's run settings, with step = s*/n for n = ``steps``
     (``problem.steps`` by default). A given s_star, steps, h0 or h1 is used as is, and
     ``rest`` (tol, max_iter) is passed through. At another s* the default pair is mapped
@@ -311,9 +311,9 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
     outcome is a status. A Gamma evaluation that fails, at a guess or an
     iterate, gives SINGULAR_INTEGRATION (with the ``abscissa`` where the
     integration broke) or OMEGA_NON_POSITIVE, and ``h_star`` is the h* that failed. A flat
-    residual, or a step beyond the float range of h*, gives SECANT_BREAKDOWN
-    with ``h_star`` the last iterate. ``message`` says why, and the iterate
-    that failed has index ``len(trace)``.
+    residual, a step that rounds to the same h* short of convergence, or a step beyond the
+    float range of h*, gives SECANT_BREAKDOWN with ``h_star`` the last iterate. ``message``
+    says why, and the iterate that failed has index ``len(trace)``.
     """
     tol, sigma = config.tol, scaling.sigma
     trace: list[ItmIteration] = []
@@ -350,8 +350,11 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
             return ItmResult(status=ItmStatus.CONVERGED if converged
                              else ItmStatus.MAX_ITER_EXCEEDED,
                              omega=omega, h_star=h_star, s=s_j, w0=w0, dw0=dw0, trace=trace)
-        if f_cur == f_prev:
+        if f_cur == f_prev:  # also at a reused iterate: the last step rounded to its h*
             return failed(ItmStatus.SECANT_BREAKDOWN, h_star,
+                          f"{step} step from h* = {h_star!r} rounds to zero: |Gamma| = "
+                          f"{abs(gamma_val)!r} > tol = {tol!r}"
+                          if h_star == trace[-2].h_star else
                           f"flat residual: log(1 + Gamma) = {f_cur!r} at h* = "
                           f"{trace[-2].h_star!r} and at h* = {h_star!r}")
         x_next, step = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev), "secant"

@@ -11,21 +11,17 @@ import functools
 import math
 from array import array
 from collections import namedtuple
-from typing import Any, Callable, NamedTuple
+from collections.abc import Callable
 
 from .errors import InvalidParams, SingularRhs
 
 __all__ = ["State2", "SolutionProfile", "IntegrationResult", "integrate_inward"]
 
-Rhs = Callable[[Any, float, float, float], float]  # (coef, z, w, w') -> w''
+Rhs = Callable[[object, float, float, float], float]  # (coef, z, w, w') -> w''
 _MAX_STEPS = 10 ** 7  # RK4 steps per integration: about 10 s at 1 us per step, 80 MB of step ends
 
 
-class State2(NamedTuple):
-    """Field value and first derivative of a second-order scalar ODE."""
-
-    w: float
-    dw: float
+State2 = namedtuple("State2", "w dw")  # field value and first derivative of w'' = f(z, w, w')
 
 
 class SolutionProfile:
@@ -124,7 +120,7 @@ def _inline_rhs(body: str, prelude: str = "") -> Rhs:
     return namespace["rhs"]
 
 
-def integrate_inward(rhs: Rhs, coef: Any, z_start: float, y_start: State2, n_steps: int,
+def integrate_inward(rhs: Rhs, coef: object, z_start: float, y_start: State2, n_steps: int,
                      record_profile: bool = False) -> IntegrationResult:
     """Integrate w'' = rhs(coef, z, w, w') with classical RK4 from the State2 y_start at
     z_start > 0 down to the origin, in n_steps fixed steps of -z_start/n_steps.

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -269,11 +270,12 @@ def test_points_below_one_rejected_before_solving(monkeypatch, capsys, argv):
         raise AssertionError("solved before checking --points")
 
     monkeypatch.setattr(cli, "secant_solve", no_solve)
-    for points in (0, 10 ** 8):  # n >= points: 10^8 steps would be past run_config's ceiling
+    # 10^5 rows take about 90 MB; 10^8 would also be past run_config's ceiling of steps
+    for points in (0, 10 ** 5 + 1, 10 ** 8):
         code, out, err = run(capsys, argv + ["--points", str(points)])
         assert code == 3
         assert out == ""
-        assert err == f"error: points must lie in [1, 10000000], got {points}\n"
+        assert err == f"error: points must lie in [1, 100000], got {points}\n"
 
 
 # (subcommand, --problem, a parameter of another problem)
@@ -727,6 +729,21 @@ def test_cli_import_loads_no_json_and_one_dataclass():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ReducedFreeBvp"]
+
+
+def test_plain_interpreter_import_loads_no_typing_json_or_numpy():
+    # -S skips site, whose .pth files may import typing before any program does. The package
+    # annotates with strings and collections.abc, so it needs no typing at run time.
+    # site-packages stays on the path, so that numpy could be imported
+    site_packages = [sysconfig.get_paths()[key] for key in ("purelib", "platlib")]
+    paths = [str(Path(cli.__file__).resolve().parents[1]), *site_packages]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    code = ("import importlib.util, sys, itmfree.cli; assert importlib.util.find_spec('numpy'); "
+            "print(*sorted({'typing', 'json', 'numpy'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -433,6 +433,19 @@ def test_repeated_h_star_is_not_integrated_again(monkeypatch):
     assert asked == [it.h_star for it in result.trace[:6]]
 
 
+def test_step_that_rounds_to_the_same_h_star_names_it_once():
+    # at tol = 1e-300 Table 1's S = 0.1 row stalls: the step from the last iterate
+    # rounds back to it, and |Gamma| there is still above tol
+    problem, scaling = make_stefan(StefanParams(S=0.1))
+    result = secant_solve(problem, scaling, run_config(problem, scaling, h0=600.0, h1=700.0,
+                                                       tol=1e-300))
+    assert result.status is ItmStatus.SECANT_BREAKDOWN
+    last = result.trace[-1]
+    assert result.h_star == last.h_star == result.trace[-2].h_star and last.gamma_val != 0.0
+    assert result.message == (f"interpolation step from h* = {last.h_star!r} rounds to zero: "
+                              f"|Gamma| = {abs(last.gamma_val)!r} > tol = 1e-300")
+
+
 def _stefan_case(S):
     problem, scaling = make_stefan(StefanParams(S=S))
     h0, h1 = stefan_default_guesses(S)

@@ -43,6 +43,7 @@ RECORDS = [
     (StefanParams, dict(S=1.0)),
     (SpreadingParams, dict(H=0.5, L=-0.5)),
     (ProblemSpec, PROBLEMS["stefan"]._asdict()),
+    (State2, dict(w=1.0, dw=-0.5)),
 ]
 
 # (record, fields changed from RECORDS' valid ones, the InvalidParams message)
