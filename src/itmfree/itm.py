@@ -121,16 +121,14 @@ class ItmConfig(CheckedRecord,
         # a longer step would silently become one step of length s_star
         if not 0.0 < step <= s_star:
             raise InvalidParams(f"step must lie in (0, s_star = {s_star}], got {step}")
-        if not s_star / step < _MAX_STEPS + 0.5:  # round(s_star/step) steps per Gamma evaluation
+        if not s_star / step <= _MAX_STEPS + 0.5:  # round(s_star/step) steps, 10^7 at 10^7 + 0.5
             raise InvalidParams(f"step {step} at s_star = {s_star} asks for {s_star / step:.10g} "
                                 f"RK4 steps per integration, more than {_MAX_STEPS}")
         if not 0.0 < tol < math.inf:  # a nan tol could never be met, an inf one always is
             raise InvalidParams(f"tol must be positive and finite, got {tol}")
-        for h in (h0, h1):
-            if not 0.0 < h < math.inf:
-                raise InvalidParams(f"initial guess {h} must be positive and finite")
-        if h0 == h1:
-            raise InvalidParams("initial guesses h0 and h1 must differ")
+        if not (0.0 < h0 < math.inf and 0.0 < h1 < math.inf and h0 != h1):
+            raise InvalidParams(f"the guesses {(h0, h1)!r} at s_star = {s_star!r} are not two "
+                                "distinct positive finite floats")
         if max_iter < 1:  # the solve evaluates iterate 1 before it tests the bound
             raise InvalidParams(f"max_iter must be at least 1, got {max_iter}")
         return self
@@ -143,8 +141,8 @@ def run_config(problem: ReducedFreeBvp, scaling: ExtendedScaling, s_star: float 
     (``problem.steps`` by default). A given s_star, steps, h0 or h1 is used as is, and
     ``rest`` (tol, max_iter) is passed through. At another s* the default pair is mapped
     by the group, h* -> (s*/0.5)^(sigma/delta) h*. Raises InvalidParams unless n is an
-    int in [1, 10^7] that s*/step rounds back to (a subnormal s* may not), and the mapped
-    pair is two distinct positive finite floats."""
+    int in [1, 10^7] that s*/step rounds back to (a subnormal s* may not); ItmConfig
+    checks the rest, the pair that would run included."""
     s_star = _DEFAULT_S_STAR if s_star is None else s_star
     steps = problem.steps if steps is None else steps
     if not (type(steps) is int and 1 <= steps <= _MAX_STEPS):  # 2.5 would run 2 steps
@@ -154,12 +152,9 @@ def run_config(problem: ReducedFreeBvp, scaling: ExtendedScaling, s_star: float 
         raise InvalidParams(f"s_star = {s_star!r} would run {round(s_star / step)} RK4 steps "
                             f"of {step!r}, not {steps}")
     g0, g1 = problem.guesses
-    if (h0 is None or h1 is None) and 0.0 < s_star < math.inf:  # ItmConfig names any other s*
+    if (h0 is None or h1 is None) and s_star > 0.0:  # 0.0 ** -4 raises; ItmConfig names s*
         scale = _power(s_star / _DEFAULT_S_STAR, scaling.sigma / scaling.delta)
         g0, g1 = scale * g0, scale * g1
-        if not (0.0 < g0 < math.inf and 0.0 < g1 < math.inf and g0 != g1):
-            raise InvalidParams(f"the default guesses {(g0, g1)!r} at s_star = {s_star!r} are "
-                                "not two distinct positive finite floats")
     return ItmConfig(s_star=s_star, step=step,
                      h0=g0 if h0 is None else h0, h1=g1 if h1 is None else h1, **rest)
 
@@ -358,7 +353,9 @@ def secant_solve(problem: ReducedFreeBvp, scaling: ExtendedScaling,
                           f"flat residual: log(1 + Gamma) = {f_cur!r} at h* = "
                           f"{trace[-2].h_star!r} and at h* = {h_star!r}")
         x_next, step = x_cur - f_cur * (x_cur - x_prev) / (f_cur - f_prev), "secant"
-        if j >= 2 and f_old != f_prev and f_old != f_cur:
+        # f_old != f_prev, or iterate j - 1 would have stopped; at j = 1 x_old and f_old are
+        # still nan, so x_iqi is nan and the secant step stands
+        if f_old != f_cur:
             # inverse quadratic interpolation in Newton's form: the secant step
             # plus the term of the second divided difference of x over F
             curvature = ((x_cur - x_prev) / (f_cur - f_prev)

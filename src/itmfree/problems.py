@@ -82,9 +82,9 @@ def stefan_exponents() -> SimilarityExponents:
 
 
 def spreading_exponents() -> SimilarityExponents:
-    """n = 3, B = 0, alpha = beta = -1/5, gamma = 5 (zero-flux Neumann)."""
+    """n = 3, B = 0 (any beta would do, so none is given), alpha = -1/5, gamma = 5."""
     return SimilarityExponents(n=3.0, alpha=-0.2, gamma=5.0, coefficient=0.0,
-                               origin_kind=OriginKind.NEUMANN, beta=-0.2)
+                               origin_kind=OriginKind.NEUMANN)
 
 
 def make_stefan(params: StefanParams) -> tuple[ReducedFreeBvp, ExtendedScaling]:
@@ -144,7 +144,7 @@ def stefan_default_guesses(S: float) -> tuple[float, float]:
     One rule for every S: the pair (h_U, 0.75 h_U) brackets the root, from
     the large-S limit of the Neumann relation. (The paper's Table 1 pairs are
     run settings, kept in STEFAN_GUESSES.) Where h_U underflows or overflows
-    the pair is not usable, and ``run_config`` rejects it.
+    the pair is not usable, and ``ItmConfig`` rejects it.
     """
     # lambda = eta_w/2 solves sqrt(pi) lambda e^(lambda^2) erf(lambda) = 1/S;
     # as S -> inf, lambda^2 = log(1 + 1/(2S)) to leading order. Converted via

@@ -396,6 +396,10 @@ def test_custom_tol_reaches_tighter_stop(capsys):
     (["stefan", "--max-iter", "2"], 2, "max_iter_exceeded"),
     # the default pair at s* = 1e-100 is (2e-200, 4e-201): (V - h^(1/2) eta)^3 underflows to 0
     (["spread", "--s-star", "1e-100"], 4, "singular_integration"),
+    # the default pair (5e-324, 5e-324) is not two floats, but one given guess replaces it,
+    # and the pair that runs is valid: it breaks down, it is not an invalid input
+    (["stefan", "--S", "3e162", "--h0", "1"], 2, "secant_breakdown"),
+    (["stefan", "--S", "3e162", "--h1", "1"], 2, "secant_breakdown"),
 ])
 def test_failed_solve_reports_its_status(capsys, argv, code, status):
     exit_code, out, err = run(capsys, argv + ["--format", "json"])
@@ -573,7 +577,7 @@ def test_unread_flags_are_rejected(capsys, argv):
     (["check-invariance", "--n", "1", "--alpha", "-1"], "n*alpha + 1 = 0 for n=1.0, alpha=-1.0"),
     # the default guesses would be 0: say so, not that h0 and h1 coincide
     (["stefan", "--S", "1e300"],
-     "the default guesses (0.0, 0.0) at s_star = 0.5 are not two distinct positive finite floats"),
+     "the guesses (0.0, 0.0) at s_star = 0.5 are not two distinct positive finite floats"),
     # beta belongs to a Neumann origin; under the default Dirichlet one it was ignored
     (["check-invariance", "--n", "3", "--alpha", "-0.2", "--beta", "0.5", "--coefficient", "1"],
      "a Dirichlet origin has no beta, got beta=0.5"),
@@ -583,19 +587,19 @@ def test_unread_flags_are_rejected(capsys, argv):
     # it ran, and reported more iterations than the bound
     (["stefan", "--max-iter", "0"], "max_iter must be at least 1, got 0"),
     # from S = 2.3e162 the estimate is a subnormal so coarse that 0.75 h* rounds back to it
-    (["stefan", "--S", "3e162"], "the default guesses (5e-324, 5e-324) at s_star = 0.5 are not "
-                                 "two distinct positive finite floats"),
+    (["stefan", "--S", "3e162"], "the guesses (5e-324, 5e-324) at s_star = 0.5 are not two "
+                                 "distinct positive finite floats"),
     # 1/(2S) overflows: the pair would be (inf, inf)
     (["stefan", "--S", "1e-310"],
-     "the default guesses (inf, inf) at s_star = 0.5 are not two distinct positive finite floats"),
+     "the guesses (inf, inf) at s_star = 0.5 are not two distinct positive finite floats"),
     # an --s-star the default guesses cannot be mapped to: 0.0 ** -4 raises,
     # and (2e200) ** -4 underflows and (2e200) ** 2 overflows
     *[([problem, f"--s-star={value}"], f"s_star must be positive and finite, got {value}")
       for problem in ("stefan", "spread") for value in ("0.0", "-1.0", "nan", "inf")],
-    (["stefan", "--s-star", "1e200"], "the default guesses (0.0, 0.0) at s_star = 1e+200 are not "
-                                      "two distinct positive finite floats"),
-    (["spread", "--s-star", "1e200"], "the default guesses (inf, inf) at s_star = 1e+200 are not "
-                                      "two distinct positive finite floats"),
+    (["stefan", "--s-star", "1e200"], "the guesses (0.0, 0.0) at s_star = 1e+200 are not two "
+                                      "distinct positive finite floats"),
+    (["spread", "--s-star", "1e200"], "the guesses (inf, inf) at s_star = 1e+200 are not two "
+                                      "distinct positive finite floats"),
     # it converged after one iteration, 0.18 off the Neumann root: |Gamma| <= inf always holds
     (["stefan", "--tol", "inf"], "tol must be positive and finite, got inf"),
     # n*alpha + 1 overflows: gamma was 2/inf = 0 and the PDE residual nan, exit 0

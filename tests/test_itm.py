@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -212,6 +213,17 @@ def test_steps_must_be_nonzero():
     assert round(config.s_star / config.step) == 10 ** 7
 
 
+def test_step_count_ceiling_is_the_rounded_count():
+    # evaluate_gamma runs round(s_star/step) steps, and 10^7 + 0.5 rounds half to even,
+    # to 10^7: the ceiling admits it and rejects the next float up
+    config = ItmConfig(s_star=5000000.25, step=0.5, h0=1.0, h1=2.0)
+    assert round(config.s_star / config.step) == 10 ** 7
+    with pytest.raises(InvalidParams) as excinfo:
+        ItmConfig(s_star=5000000.250000001, step=0.5, h0=1.0, h1=2.0)
+    assert str(excinfo.value) == ("step 0.5 at s_star = 5000000.250000001 asks for 10000000.5 "
+                                  "RK4 steps per integration, more than 10000000")
+
+
 def test_secant_solve_stefan_converges(stefan_s1):
     result = stefan_s1
     assert result.status is ItmStatus.CONVERGED
@@ -370,6 +382,16 @@ def residual_problem(F):
 UNIT_SCALING = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=1.0)
 
 
+def test_a_step_to_the_largest_log_h_star_is_taken():
+    # F = log h* - log(max float) is linear in log h*, so the secant step from 2^31 and 1
+    # lands on log h* = log(max float) exactly; its exp is finite, and the solve converges
+    largest = sys.float_info.max
+    result = secant_solve(constant_problem(lambda h, s: largest),
+                          ExtendedScaling(delta=0.0, sigma=1.0, origin_weight=1.0),
+                          ItmConfig(s_star=1.0, step=0.1, h0=2.0 ** 31, h1=1.0))
+    assert result.converged and result.h_star == math.exp(math.log(largest))
+
+
 def test_first_iterate_after_the_guesses_is_the_secant_step(spreading_grid):
     # interpolation starts at j = 3, so j = 2 keeps its bits: the spreading
     # grid of test_problems and the Table 1 rows
@@ -508,6 +530,8 @@ def test_run_config_uses_each_given_setting_as_is():
     config = run_config(problem, scaling, s_star=2.0, steps=200, h0=3.0, tol=1e-9, max_iter=7)
     # h1 is the default 0.1, mapped by (2 s*)^2 = 16
     assert config == ItmConfig(s_star=2.0, step=0.01, h0=3.0, h1=1.6, tol=1e-9, max_iter=7)
+    # and a given h1 leaves h0 the default 0.5, mapped alike
+    assert run_config(problem, scaling, s_star=2.0, h1=3.0)[2:4] == (8.0, 3.0)
 
 
 @pytest.mark.parametrize("steps, runs", [(500, 506), (1000, 1012), (2000, 2024)])
@@ -548,13 +572,37 @@ def test_origin_condition_g_equal_to_c_is_written_g_over_c():
 
 
 def test_omega_beyond_float_range_is_a_status():
-    # g = 1e300 is positive, but omega = g^(1/k) = 1e3000 for k = 0.1
+    # g = 1e300 is positive, but omega = g^(1/k) = 1e3000 for k = 0.1, and 1e-3000
+    # (0.0) for g = 1e-300
     scaling = ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=0.1)
-    result = secant_solve(constant_problem(lambda h, s: 1e300), scaling,
-                          ItmConfig(s_star=1.0, step=0.1, h0=0.5, h1=2.0))
-    assert result.status is ItmStatus.OMEGA_NON_POSITIVE
-    assert result.h_star == 0.5 and result.trace == []
-    assert result.message == "omega = inf at h* = 0.5"
+    for g, omega in ((1e300, "inf"), (1e-300, "0.0")):
+        result = secant_solve(constant_problem(lambda h, s: g), scaling,
+                              ItmConfig(s_star=1.0, step=0.1, h0=0.5, h1=2.0))
+        assert result.status is ItmStatus.OMEGA_NON_POSITIVE
+        assert result.h_star == 0.5 and result.trace == []
+        assert result.message == f"omega = {omega} at h* = 0.5"
+
+
+def test_g_equal_to_zero_is_not_positive():
+    # omega = 0^(1/k) would be 0 for k > 0 and raise ZeroDivisionError for k < 0:
+    # the g test stops both first
+    for weight in (1.0, -1.0):
+        result = secant_solve(constant_problem(lambda h, s: 0.0),
+                              ExtendedScaling(delta=1.0, sigma=1.0, origin_weight=weight),
+                              ItmConfig(s_star=1.0, step=0.1, h0=0.5, h1=2.0))
+        assert result.status is ItmStatus.OMEGA_NON_POSITIVE
+        assert result.message == "g(w*(0), w*'(0)) = 0.0 at h* = 0.5 is not positive"
+
+
+def test_each_stopping_clause_holds_at_equality():
+    # omega = w*(0) = h*. With delta = sigma = 0, Gamma = h* - 1 and s_j = s*: |Gamma| is
+    # 0.5 = tol at both guesses. With delta = -1, sigma = 1, Gamma = 0 and s_j = h* s*:
+    # the guesses' s differ by 0.5 = tol. Either way iterate 1 converges.
+    problem = constant_problem(lambda h, s: h)
+    for delta, sigma, h0, h1 in ((0.0, 0.0, 1.5, 0.5), (-1.0, 1.0, 2.0, 4.0)):
+        result = secant_solve(problem, ExtendedScaling(delta, sigma, 1.0),
+                              ItmConfig(s_star=0.25, step=0.025, h0=h0, h1=h1, tol=0.5))
+        assert result.converged and result.iterations == 1 and result.h_star == h1
 
 
 @pytest.mark.parametrize("H, L", [(0.25, -0.5), (0.1, -0.5)])
@@ -577,9 +625,12 @@ def test_config_validation():
         dict(s_star=math.inf, step=1.0),
         dict(h0=1.0, h1=1.0),
         dict(h0=-1.0),  # guesses must be positive: the secant steps in log h*
+        dict(h0=0.0),
+        dict(h1=0.0),
         dict(h0=math.inf),
         dict(h1=math.inf),
         dict(tol=math.nan),
+        dict(tol=0.0),  # a positive |Gamma| could never meet it
         dict(tol=math.inf),  # |Gamma| <= inf holds at once: "converged" at any iterate
         dict(step=10.0),  # a step longer than s_star would be one step of length s_star
         dict(step=0.0),  # s_star/step would divide by zero

@@ -150,6 +150,8 @@ def test_direction_and_step_validation():
     for n_steps in (2.5, 3.0, True, 10 ** 7 + 1):
         with pytest.raises(InvalidParams, match="an int <= 10000000"):
             integrate_inward(rhs, None, 1.0, State2(0.0, 1.0), n_steps)
+    with pytest.raises(SingularRhs):  # 10^7 itself is a count: the start state is checked next
+        integrate_inward(rhs, None, 1.0, State2(math.nan, 1.0), 10 ** 7)
     for start in (State2(float("inf"), 1.0), State2(0.0, float("nan"))):
         with pytest.raises(SingularRhs) as exc:
             integrate_inward(rhs, None, 1.0, start, 10)
@@ -194,6 +196,11 @@ def test_inline_rhs_is_the_callable_of_its_body():
     res = integrate_inward(rhs, 0.25, 1.0, start, 64, record_profile=True)
     assert res.endpoint == expected_end
     assert (res.profile.eta, res.profile.u, res.profile.du) == expected
+    # a prelude of two lines, run once per integration before the loop
+    rhs = _inline_rhs("{a} = c * {w} + d", prelude="c = coef[0]\nd = coef[1]")
+    assert rhs((2.0, 0.5), 0.5, 3.0, 4.0) == 6.5
+    expected_end, _ = _reference_rk4(rhs, (2.0, 0.5), 1.0, start, 0.0, 64)
+    assert integrate_inward(rhs, (2.0, 0.5), 1.0, start, 64).endpoint == expected_end
 
 
 def test_a_solve_compiles_one_loop_that_every_build_shares():
@@ -233,6 +240,16 @@ def test_inline_run_turning_non_finite_fails_as_the_called_run(value, then_raise
     assert isinstance(called, tuple)  # failed
     assert _outcome(rhs, 0.37, 1.0, start, 100) == called
     assert 0.0 < called[0] < 0.37  # the step it happened at, not the end
+
+
+def test_inline_run_whose_slope_alone_turns_non_finite_fails_as_the_called_run():
+    # only the last step's fourth stage, at z + h = 0 to rounding, is inf: it enters w' alone,
+    # so the unchecked loop ends on a finite w and an infinite w'
+    rhs = _inline_rhs("{a} = (math.inf if abs({z}) < 1e-9 else 1.0)")
+    start = State2(1.0, -1.0)
+    called = _outcome(_called(rhs), None, 1.0, start, 100)
+    assert called[0] == 0.0
+    assert _outcome(rhs, None, 1.0, start, 100) == called
 
 
 @pytest.mark.parametrize("H, L, h_star", [(0.1, -2.0, 0.5), (2.0, 0.0, 0.01), (1.0, 1.0, 0.1)])

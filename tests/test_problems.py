@@ -16,9 +16,12 @@ from itmfree.problems import (
     StefanParams,
     make_spreading,
     make_stefan,
+    spreading_exponents,
     stefan_default_guesses,
+    stefan_exponents,
 )
 from itmfree.reference import exact_spreading, neumann_eta_w, neumann_profile
+from itmfree.similarity import OriginKind
 
 
 def test_param_validation():
@@ -188,6 +191,26 @@ def test_table_stefan_runs_the_paper_pairs(capsys):
         assert (row["h_star"], row["dU0"], row["eta_w"]) == (result.h_star, result.dw0, result.s)
 
 
+@pytest.mark.parametrize("make, params, exponents", [
+    (make_stefan, StefanParams(S=1.0), stefan_exponents),
+    (make_spreading, SpreadingParams(H=0.5, L=-0.5), spreading_exponents),
+])
+def test_exponents_reduce_the_pde_to_the_solved_ode(make, params, exponents):
+    # u = t^alpha U(eta), eta = x t^(-1/gamma) turn u_t = (u^n u_x)_x into
+    # (U^n U')' = alpha U - (eta/gamma) U', the ODE integrated at h = 1. At the origin
+    # u(0, t) = A t^alpha is U(0) = A, and u_x(0, t) = B t^beta is U'(0) = B: there g = 1
+    problem, _ = make(params)
+    e = exponents()
+    for eta, U, dU in ((0.0, 1.0, -0.25), (0.3, 0.8, -0.4), (0.7, 0.5, -0.9)):
+        shift_u, shift_du = problem.to_original(eta, 0.0, 0.0)  # the solver's w is U - shift
+        d2U = (e.alpha * U - eta / e.gamma * dU - e.n * U ** (e.n - 1.0) * dU * dU) / U ** e.n
+        rhs = problem.extended_rhs(problem.coefficients(1.0), eta, U - shift_u, dU - shift_du)
+        assert rhs == pytest.approx(d2U, rel=1e-14)
+    U, dU = (e.coefficient, 0.5) if e.origin_kind is OriginKind.DIRICHLET else (0.5, e.coefficient)
+    shift_u, shift_du = problem.to_original(0.0, 0.0, 0.0)
+    assert problem.origin_condition(U - shift_u, dU - shift_du) == 1.0
+
+
 def test_default_guesses_bracket_the_root():
     # S = 10^(k/40) from the smallest S whose 1/(2S) is finite (k = -12342,
     # S = 2.8e-309) to 1e150, and the six S of Table 1; the estimate is exact
@@ -196,10 +219,12 @@ def test_default_guesses_bracket_the_root():
         h0, h1 = stefan_default_guesses(S)
         root = (neumann_eta_w(S) / 0.5) ** 4
         assert h1 < root <= h0 * (1.0 + 1e-14), S
-    # below that, 1/(2S) overflows and run_config rejects the pair (inf, inf)
+    # below that, 1/(2S) overflows and ItmConfig rejects the pair (inf, inf)
     problem, scaling = make_stefan(StefanParams(S=10.0 ** (-12343 / 40)))
-    with pytest.raises(InvalidParams, match=r"the default guesses \(inf, inf\) at s_star = 0.5"):
+    with pytest.raises(InvalidParams) as excinfo:
         run_config(problem, scaling)
+    assert str(excinfo.value) == ("the guesses (inf, inf) at s_star = 0.5 are not two distinct "
+                                  "positive finite floats")
 
 
 @pytest.mark.parametrize("S", [0.2, 0.7, 2.0, 8.0, 20.0])
@@ -291,3 +316,21 @@ def test_stefan_gamma_sign_brackets_root():
     g_hi, _, _ = evaluate_gamma(problem, scaling, 40.0, config)
     # Gamma is decreasing in h* for this embedding
     assert g_hi < 0.0 < g_lo
+
+
+@settings(max_examples=25, deadline=None)
+@given(log_H=st.floats(math.log(0.25), math.log(4.0)),
+       log_q=st.floats(math.log(0.05), math.log(100.0)))
+def test_spreading_answer_depends_only_on_q(log_H, log_q):
+    # (U^3 U')' + (eta U)'/5 = 0 is invariant under eta -> lam eta, U -> lam^(2/3) U, so the
+    # solution at (H, L) is the one at (1, -q), q = -L/H^(5/2), stretched by lam = H^(3/2).
+    # Each converged solve is within its own stopping error of that root, so the two agree
+    # to tol, not to rounding: 8.8e-10 relative at H = 3.03, q = 0.063 (8 and 11 iterates)
+    H, q = math.exp(log_H), math.exp(log_q)
+    at_H, at_1 = (secant_solve(problem, scaling, run_config(problem, scaling))
+                  for problem, scaling in (make_spreading(SpreadingParams(H, -q * H ** 2.5)),
+                                           make_spreading(SpreadingParams(1.0, -q))))
+    if at_H.converged and at_1.converged:
+        tol = ItmConfig._field_defaults["tol"]
+        assert at_H.s == pytest.approx(H ** 1.5 * at_1.s, rel=tol)
+        assert at_H.w0 == pytest.approx(H * at_1.w0, rel=tol)

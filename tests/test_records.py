@@ -50,7 +50,8 @@ RECORDS = [
 REJECTED = [
     (ExtendedScaling, dict(origin_weight=0.0), "origin weight must be finite and nonzero, got 0.0"),
     (ItmConfig, dict(tol=math.inf), "tol must be positive and finite, got inf"),
-    (ItmConfig, dict(h1=30.0), "initial guesses h0 and h1 must differ"),
+    (ItmConfig, dict(h1=30.0),
+     "the guesses (30.0, 30.0) at s_star = 0.5 are not two distinct positive finite floats"),
     (ItmConfig, dict(max_iter=0), "max_iter must be at least 1, got 0"),
     (SimilarityExponents, dict(origin_kind=OriginKind.DIRICHLET),
      "a Dirichlet origin has no beta, got beta=-0.2"),
