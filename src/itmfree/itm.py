@@ -141,8 +141,9 @@ def run_config(problem: ReducedFreeBvp, scaling: ExtendedScaling, s_star: float 
     (``problem.steps`` by default). A given s_star, steps, h0 or h1 is used as is, and
     ``rest`` (tol, max_iter) is passed through. At another s* the default pair is mapped
     by the group, h* -> (s*/0.5)^(sigma/delta) h*. Raises InvalidParams unless n is an
-    int in [1, 10^7] that s*/step rounds back to (a subnormal s* may not); ItmConfig
-    checks the rest, the pair that would run included."""
+    int in [1, 10^7] that s*/step rounds back to (a subnormal s* may not), or if a default
+    guess needs mapping and delta = 0; ItmConfig checks the rest, the pair that would run
+    included."""
     s_star = _DEFAULT_S_STAR if s_star is None else s_star
     steps = problem.steps if steps is None else steps
     if not (type(steps) is int and 1 <= steps <= _MAX_STEPS):  # 2.5 would run 2 steps
@@ -152,7 +153,11 @@ def run_config(problem: ReducedFreeBvp, scaling: ExtendedScaling, s_star: float 
         raise InvalidParams(f"s_star = {s_star!r} would run {round(s_star / step)} RK4 steps "
                             f"of {step!r}, not {steps}")
     g0, g1 = problem.guesses
-    if (h0 is None or h1 is None) and s_star > 0.0:  # 0.0 ** -4 raises; ItmConfig names s*
+    # 0.0 ** -4 raises, and ItmConfig names s*; at s* = 0.5 the factor would be exactly 1.0
+    if (h0 is None or h1 is None) and s_star > 0.0 and s_star != _DEFAULT_S_STAR:
+        if scaling.delta == 0.0:
+            raise InvalidParams(f"the default guesses cannot be mapped to s_star = {s_star!r} "
+                                "by a group with delta = 0.0")
         scale = _power(s_star / _DEFAULT_S_STAR, scaling.sigma / scaling.delta)
         g0, g1 = scale * g0, scale * g1
     return ItmConfig(s_star=s_star, step=step,

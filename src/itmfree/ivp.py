@@ -52,10 +52,14 @@ def _abscissae(z_start: float, n_steps: int) -> array:
 # from _STAGES[k - 1] and sets a{k}, w'' at those arguments. The grid stays exact: a step
 # ends on its entry of _abscissae. Each weight 2 * k is written k + k: the same double, but
 # a float add, which CPython specialises, where it does not specialise int * float. ** raises
-# OverflowError on overflow; a divisor can be 0.0. The checked tail tests every step's state
-# and records it; the fast tail tests nothing, and the caller tests the end instead. That is
-# exact: w and dw each enter their own update with weight 1, so once either is inf or nan it
-# stays non-finite, and a finite end means that every step's state was finite.
+# OverflowError on overflow; a divisor can be 0.0. Three tails: "checked" tests every step's
+# state; "fast" tests nothing, and "record" only appends the state. The caller tests the end
+# of an unchecked run, and an unchecked run that raises keeps its raise if the state is
+# finite, else returns it. Either way a non-finite state goes to the checked variant, which
+# raises at the step it happened. That is exact: w and dw each enter their own update with
+# weight 1, so once either is inf or nan it stays non-finite, and a finite state means that
+# every earlier step was finite. They are assigned only at a step's end, so at a raise they
+# hold the failing step's start; if finite, the checked run reaches the same raise.
 _LOOP = """\
 def loop(rhs, coef, z_start, w, dw, grid, rows):
     z, h = z_start, -z_start / len(grid)
@@ -75,12 +79,16 @@ def loop(rhs, coef, z_start, w, dw, grid, rows):
             dw += h6 * (a1 + (a2 + a2) + (a3 + a3) + a4)
             z = z_next
             {tail}
-    except (OverflowError, ZeroDivisionError):
+    except Exception as exc:
+        {handler}
+        if not isinstance(exc, (OverflowError, ZeroDivisionError)):
+            raise
         raise SingularRhs(z_next) from None
     return w, dw
 """
-_CHECKED_TAIL = ("if not (isfinite(w) and isfinite(dw)):\n    raise SingularRhs(z)\n"
-                 "if rows:\n    rows.append((z, w, dw))")
+_TAILS = {"checked": "if not (isfinite(w) and isfinite(dw)): raise SingularRhs(z)",
+          "fast": "", "record": "rows.append((z, w, dw))"}
+_HAND_BACK = "if not (isfinite(w) and isfinite(dw)): return w, dw"  # to the checked loop
 _STAGES = ({"z": "z", "w": "w", "dw": "dw"},
            {"z": "z_mid", "w": "(w + h2 * dw)", "dw": "dw2"},
            {"z": "z_mid", "w": "(w + h2 * dw2)", "dw": "dw3"},
@@ -93,11 +101,11 @@ def _indent(text: str, spaces: int) -> str:
 
 
 @functools.cache
-def _loop(body: str, prelude: str, checked: bool) -> Callable:
-    """The RK4 loop of a prelude, a stage body and the checked tail or none; built on first use."""
+def _loop(body: str, prelude: str, tail: str) -> Callable:
+    """The RK4 loop of a prelude, a stage body and one of _TAILS; built on first use."""
     stages = (_indent(body.format(a=f"a{k}", **names), 12) for k, names in enumerate(_STAGES, 1))
-    exec(_LOOP.format(*stages, prelude=_indent(prelude, 4),
-                      tail=_indent(_CHECKED_TAIL, 12) if checked else ""),
+    exec(_LOOP.format(*stages, prelude=_indent(prelude, 4), tail=_TAILS[tail],
+                      handler=_HAND_BACK if tail != "checked" else ""),
          namespace := {"math": math, "SingularRhs": SingularRhs})
     return namespace["loop"]
 
@@ -128,8 +136,10 @@ def integrate_inward(rhs: Rhs, coef: object, z_start: float, y_start: State2, n_
     ``coef`` is handed unchanged to the RHS: the constants of this initial value problem,
     computed once by the caller instead of once per call. Any callable is called directly,
     exactly four times per step; a bundled problem's RHS (an ``_inline_rhs``) runs inline in
-    the RK4 loop instead; an unrecorded one tests only its end, and if that is not finite or
-    the run raises, runs again testing every step, to the same outcome. With
+    the RK4 loop instead. An unrecorded run of a plain callable tests every step's state.
+    Any other run (a recorded one, or one of an inline RHS) tests only its end, and a raise
+    from a finite state is final; if it ends non-finite or raises from a non-finite state,
+    it runs again testing every step, to the same outcome as if it had tested each. With
     ``record_profile`` the result carries every accepted step. The step ends of the last two
     (z_start, n_steps) are cached: at most 2 arrays of 8 bytes per step, 160 MB at 10^7 steps.
 
@@ -147,14 +157,12 @@ def integrate_inward(rhs: Rhs, coef: object, z_start: float, y_start: State2, n_
         raise SingularRhs(z_start, f"start state (w, w') = ({y_start.w!r}, {y_start.dw!r}) "
                                    f"at z = {z_start!r} is not finite")
     grid, inline = _abscissae(z_start, n_steps), getattr(rhs, "inline", None)
-    if inline and not record_profile:
-        try:
-            w, dw = _loop(*inline, False)(rhs, coef, z_start, *y_start, grid, None)
-            if math.isfinite(w) and math.isfinite(dw):
-                return IntegrationResult(endpoint=State2(w, dw), steps_taken=n_steps)
-        except Exception:
-            pass  # the checked run below raises at the step where it happened
-    rows = [(z_start, *y_start)] if record_profile else None
-    w, dw = _loop(*(inline or (_CALL, "")), True)(rhs, coef, z_start, *y_start, grid, rows)
-    profile = SolutionProfile(*zip(*rows)) if record_profile else None
+    body, rows = inline or (_CALL, ""), [(z_start, *y_start)] if record_profile else None
+    args = (rhs, coef, z_start, *y_start, grid, rows)
+    w = dw = math.nan  # an unrecorded run of a plain callable is checked from the start
+    if inline or rows:  # unchecked: hands back a non-finite state, at its end or a raise
+        w, dw = _loop(*body, "record" if rows else "fast")(*args)
+    if not (math.isfinite(w) and math.isfinite(dw)):
+        w, dw = _loop(*body, "checked")(*args)  # after an unchecked run, this one raises
+    profile = SolutionProfile(*zip(*rows)) if rows else None
     return IntegrationResult(endpoint=State2(w, dw), steps_taken=n_steps, profile=profile)

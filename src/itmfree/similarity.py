@@ -100,13 +100,21 @@ def reconstruct_physical(profile: SolutionProfile, exps: SimilarityExponents,
     """Map a similarity profile back to physical variables at time t.
 
     x = eta t^(1/gamma), u = t^alpha U(eta), du/dx = t^(alpha - 1/gamma) U'(eta),
-    and x_w = eta_w t^(1/gamma).
+    and x_w = eta_w t^(1/gamma). Raises InvalidParams unless t is positive and finite,
+    t^(1/gamma) is a nonzero finite float and t^alpha and t^(alpha - 1/gamma) are finite.
     """
     if not 0.0 < t < math.inf:
         raise InvalidParams(f"t must be positive and finite, got {t}")
-    tg = t ** (1.0 / exps.gamma)
-    ta = t ** exps.alpha
-    tslope = ta / tg
+    try:
+        tg = t ** (1.0 / exps.gamma)  # gamma = 0.0 raises ZeroDivisionError
+        ta = t ** exps.alpha
+        tslope = ta / tg  # so does tg = 0.0
+    except (OverflowError, ZeroDivisionError):
+        tg = tslope = math.inf
+    if not (math.isfinite(tg) and math.isfinite(tslope)):  # x = 0.0 * inf would be nan
+        raise InvalidParams(f"t = {t!r} leaves the float range in t^(1/gamma) or "
+                            f"t^(alpha - 1/gamma) at gamma = {exps.gamma!r}, "
+                            f"alpha = {exps.alpha!r}")
     return PhysicalProfile(
         x=tuple(eta * tg for eta in profile.eta),
         u=tuple(u * ta for u in profile.u),

@@ -1,5 +1,5 @@
-"""Mutation gauge for the solve path: is every check and branch of itm.py, ivp.py and
-problems.py needed, and does a tier-1 test show it?
+"""Mutation gauge for the solve path: is every check and branch of itm.py, ivp.py,
+problems.py and similarity.py needed, and does a tier-1 test show it?
 
 A site is a comparison, arithmetic, augmented-assignment or boolean operator (swapped:
 < <=, > >=, == !=, is / is not, + -, * /, ** *, and / or), an int or float literal
@@ -22,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = ("itm.py", "ivp.py", "problems.py")
+FILES = ("itm.py", "ivp.py", "problems.py", "similarity.py")
 TIMEOUT = 120.0  # seconds per mutant; tier-1 takes about 12
 SWAP = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
         ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="), ast.Is: ("is", "is not"),

@@ -532,6 +532,12 @@ def test_run_config_uses_each_given_setting_as_is():
     assert config == ItmConfig(s_star=2.0, step=0.01, h0=3.0, h1=1.6, tol=1e-9, max_iter=7)
     # and a given h1 leaves h0 the default 0.5, mapped alike
     assert run_config(problem, scaling, s_star=2.0, h1=3.0)[2:4] == (8.0, 3.0)
+    # a group with delta = 0 maps nothing at the default s* = 0.5, and cannot map elsewhere
+    problem, scaling = constant_problem(lambda h, s: h), ExtendedScaling(0.0, 1.0, 1.0)
+    assert run_config(problem, scaling) == ItmConfig(s_star=0.5, step=0.05, h0=2.0, h1=0.5)
+    with pytest.raises(InvalidParams, match=r"^the default guesses cannot be mapped to "
+                                            r"s_star = 1\.0 by a group with delta = 0\.0$"):
+        run_config(problem, scaling, s_star=1.0)
 
 
 @pytest.mark.parametrize("steps, runs", [(500, 506), (1000, 1012), (2000, 2024)])

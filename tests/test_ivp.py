@@ -211,26 +211,50 @@ def test_a_solve_compiles_one_loop_that_every_build_shares():
     # compiled at the first integration only: every run ends finite, so none is re-run checked
     assert ivp._loop.cache_info().misses == 1
     a, b = (problem.extended_rhs.inline for problem, _ in problems)
-    assert ivp._loop(*a, False) is ivp._loop(*b, False)
+    assert ivp._loop(*a, "fast") is ivp._loop(*b, "fast")
 
 
-def _outcome(rhs, coef, z_start, start, n_steps):
+def test_a_run_that_raises_from_a_finite_state_builds_no_checked_loop():
+    # spreading at (H, L) = (1, 0) raises mid-run, near eta = 0.014, from a finite state: the
+    # raise is final, and the checked loop that would reach the same raise is never built
+    problem, _ = make_spreading(SpreadingParams(H=1.0, L=0.0))
+    start = State2(*problem.extended_boundary(0.1, 0.5))
+    ivp._loop.cache_clear()
+    with pytest.raises(SingularRhs) as raised:
+        integrate_inward(problem.extended_rhs, problem.coefficients(0.1), 0.5, start, 1000)
+    assert 0.0 < raised.value.abscissa < 0.02
+    assert ivp._loop.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("inline", [False, True])
+def test_a_recorded_run_that_ends_finite_builds_no_checked_loop(inline):
+    problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
+    rhs = problem.extended_rhs if inline else _called(problem.extended_rhs)
+    start = State2(*problem.extended_boundary(1.0, 1.0))
+    ivp._loop.cache_clear()
+    res = integrate_inward(rhs, problem.coefficients(1.0), 1.0, start, 200, record_profile=True)
+    assert len(res.profile) == 201
+    ivp._loop(*(problem.extended_rhs.inline if inline else (ivp._CALL, "")), "record")
+    assert ivp._loop.cache_info()[:2] == (1, 1)  # one hit, one miss: the recording loop only
+
+
+def _outcome(rhs, coef, z_start, start, n_steps, record_profile=False):
     try:
-        return integrate_inward(rhs, coef, z_start, start, n_steps).endpoint
+        return integrate_inward(rhs, coef, z_start, start, n_steps, record_profile).endpoint
     except SingularRhs as exc:
         return exc.abscissa, str(exc)
 
 
 def _called(rhs):
-    return lambda *args: rhs(*args)  # no inline body: the checked loop that calls rhs
+    return lambda *args: rhs(*args)  # no inline body: unrecorded, the checked loop calls rhs
 
 
 @pytest.mark.parametrize("then_raise", [False, True])
 @pytest.mark.parametrize("value", ["math.inf", "-math.inf", "math.nan", "1e300 * {w} * {w}"])
 def test_inline_run_turning_non_finite_fails_as_the_called_run(value, then_raise):
     # the state turns non-finite below z = coef with nothing raised, and with then_raise the
-    # body raises further in; the unchecked loop runs on past that step, to a non-finite end
-    # or the raise, and the checked re-run reports the step it happened at
+    # body raises further in; the unchecked loop, recording or not, runs on past that step, to
+    # a non-finite end or the raise, and the checked re-run reports the step it happened at
     body = f"{{a}} = ({value} if {{z}} < coef else 1.0)"
     if then_raise:
         body = "if {z} < coef / 2:\n    raise SingularRhs({z}, 'raised')\n" + body
@@ -238,7 +262,8 @@ def test_inline_run_turning_non_finite_fails_as_the_called_run(value, then_raise
     start = State2(1.0, -1.0)
     called = _outcome(_called(rhs), 0.37, 1.0, start, 100)
     assert isinstance(called, tuple)  # failed
-    assert _outcome(rhs, 0.37, 1.0, start, 100) == called
+    for record_profile in (False, True):
+        assert _outcome(rhs, 0.37, 1.0, start, 100, record_profile) == called
     assert 0.0 < called[0] < 0.37  # the step it happened at, not the end
 
 
@@ -261,7 +286,8 @@ def test_inline_run_that_raises_fails_as_the_called_run(H, L, h_star):
     rhs, coef = problem.extended_rhs, problem.coefficients(h_star)
     called = _outcome(_called(rhs), coef, 0.5, start, 1000)
     assert isinstance(called, tuple)
-    assert _outcome(rhs, coef, 0.5, start, 1000) == called
+    for record_profile in (False, True):
+        assert _outcome(rhs, coef, 0.5, start, 1000, record_profile) == called
 
 
 @pytest.mark.parametrize("z_start", [0.5, 1.0, 78.87444788003997, 1e-300, 1e300])

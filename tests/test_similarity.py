@@ -157,6 +157,15 @@ def test_reconstruct_rejects_nonpositive_time():
         reconstruct_physical(_sample_profile(), stefan_exponents(), 1.0, math.nan)
     with pytest.raises(InvalidParams, match="t must be positive and finite"):
         reconstruct_physical(_sample_profile(), stefan_exponents(), 1.0, math.inf)
+    # t^(1/gamma) undefined (gamma = 0), overflowing, infinite (1/gamma = inf) or 0.0, and
+    # t^alpha or the slope factor t^(alpha - 1/gamma) overflowing
+    for gamma, alpha, t in [(0.0, 0.0, 2.0), (1e-3, 0.0, 10.0), (5e-324, 0.0, 10.0),
+                            (-1e-3, 0.0, 10.0), (2.0, 400.0, 10.0), (1.0, -1.0, 1e-300)]:
+        exps = SimilarityExponents(1.0, alpha, gamma, 1.0, OriginKind.DIRICHLET)
+        with pytest.raises(InvalidParams, match=rf"^t = {t!r} leaves the float range in "
+                                                rf"t\^\(1/gamma\) or t\^\(alpha - 1/gamma\) at "
+                                                rf"gamma = {gamma!r}, alpha = {alpha!r}$"):
+            reconstruct_physical(_sample_profile(), exps, 1.0, t)
 
 
 @given(st.floats(min_value=0.1, max_value=10.0),
