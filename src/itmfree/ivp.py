@@ -136,12 +136,12 @@ def integrate_inward(rhs: Rhs, coef: object, z_start: float, y_start: State2, n_
     ``coef`` is handed unchanged to the RHS: the constants of this initial value problem,
     computed once by the caller instead of once per call. Any callable is called directly,
     exactly four times per step; a bundled problem's RHS (an ``_inline_rhs``) runs inline in
-    the RK4 loop instead. An unrecorded run of a plain callable tests every step's state.
-    Any other run (a recorded one, or one of an inline RHS) tests only its end, and a raise
-    from a finite state is final; if it ends non-finite or raises from a non-finite state,
-    it runs again testing every step, to the same outcome as if it had tested each. With
-    ``record_profile`` the result carries every accepted step. The step ends of the last two
-    (z_start, n_steps) are cached: at most 2 arrays of 8 bytes per step, 160 MB at 10^7 steps.
+    the RK4 loop instead. Every run tests only its end, and a raise from a finite state is
+    final; if it ends non-finite or raises from a non-finite state, it runs again testing
+    every step, to the same outcome as if it had tested each. That second run needs the RHS
+    to return the same value for the same arguments. With ``record_profile`` the result
+    carries every accepted step. The step ends of the last two (z_start, n_steps) are
+    cached: at most 2 arrays of 8 bytes per step, 160 MB at 10^7 steps.
 
     Raises InvalidParams unless n_steps is an int in [1, 10^7] and z_start is positive and
     finite, and SingularRhs if the start state is not finite (at z_start), or if a step's
@@ -156,13 +156,11 @@ def integrate_inward(rhs: Rhs, coef: object, z_start: float, y_start: State2, n_
     if not (math.isfinite(y_start.w) and math.isfinite(y_start.dw)):
         raise SingularRhs(z_start, f"start state (w, w') = ({y_start.w!r}, {y_start.dw!r}) "
                                    f"at z = {z_start!r} is not finite")
-    grid, inline = _abscissae(z_start, n_steps), getattr(rhs, "inline", None)
-    body, rows = inline or (_CALL, ""), [(z_start, *y_start)] if record_profile else None
-    args = (rhs, coef, z_start, *y_start, grid, rows)
-    w = dw = math.nan  # an unrecorded run of a plain callable is checked from the start
-    if inline or rows:  # unchecked: hands back a non-finite state, at its end or a raise
-        w, dw = _loop(*body, "record" if rows else "fast")(*args)
+    body = getattr(rhs, "inline", (_CALL, ""))
+    rows = [(z_start, *y_start)] if record_profile else None
+    args = (rhs, coef, z_start, *y_start, _abscissae(z_start, n_steps), rows)
+    w, dw = _loop(*body, "record" if rows else "fast")(*args)  # hands back a non-finite state
     if not (math.isfinite(w) and math.isfinite(dw)):
-        w, dw = _loop(*body, "checked")(*args)  # after an unchecked run, this one raises
+        w, dw = _loop(*body, "checked")(*args)  # raises at the first non-finite step
     profile = SolutionProfile(*zip(*rows)) if rows else None
     return IntegrationResult(endpoint=State2(w, dw), steps_taken=n_steps, profile=profile)

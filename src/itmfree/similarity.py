@@ -101,7 +101,7 @@ def reconstruct_physical(profile: SolutionProfile, exps: SimilarityExponents,
 
     x = eta t^(1/gamma), u = t^alpha U(eta), du/dx = t^(alpha - 1/gamma) U'(eta),
     and x_w = eta_w t^(1/gamma). Raises InvalidParams unless t is positive and finite,
-    t^(1/gamma) is a nonzero finite float and t^alpha and t^(alpha - 1/gamma) are finite.
+    t^(1/gamma) is a nonzero float and every mapped value, x_w included, is finite.
     """
     if not 0.0 < t < math.inf:
         raise InvalidParams(f"t must be positive and finite, got {t}")
@@ -110,11 +110,12 @@ def reconstruct_physical(profile: SolutionProfile, exps: SimilarityExponents,
         ta = t ** exps.alpha
         tslope = ta / tg  # so does tg = 0.0
     except (OverflowError, ZeroDivisionError):
-        tg = tslope = math.inf
-    if not (math.isfinite(tg) and math.isfinite(tslope)):  # x = 0.0 * inf would be nan
-        raise InvalidParams(f"t = {t!r} leaves the float range in t^(1/gamma) or "
-                            f"t^(alpha - 1/gamma) at gamma = {exps.gamma!r}, "
-                            f"alpha = {exps.alpha!r}")
+        tg = ta = tslope = math.inf
+    # rounding is monotone: a column's largest magnitude overflows first (inf scale: inf or nan)
+    if not all(math.isfinite(max(map(abs, column), default=0.0) * scale) for column, scale in
+               ((profile.eta, tg), ((eta_w,), tg), (profile.u, ta), (profile.du, tslope))):
+        raise InvalidParams(f"t = {t!r} takes x, u or du/dx out of the float range at "
+                            f"gamma = {exps.gamma!r}, alpha = {exps.alpha!r}")
     return PhysicalProfile(
         x=tuple(eta * tg for eta in profile.eta),
         u=tuple(u * ta for u in profile.u),

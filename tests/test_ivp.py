@@ -238,6 +238,15 @@ def test_a_recorded_run_that_ends_finite_builds_no_checked_loop(inline):
     assert ivp._loop.cache_info()[:2] == (1, 1)  # one hit, one miss: the recording loop only
 
 
+def test_an_unrecorded_called_run_that_ends_finite_builds_only_the_fast_loop():
+    problem, _ = make_spreading(SpreadingParams(H=0.5, L=-0.5))
+    start = State2(*problem.extended_boundary(1.0, 1.0))
+    ivp._loop.cache_clear()
+    integrate_inward(_called(problem.extended_rhs), problem.coefficients(1.0), 1.0, start, 200)
+    ivp._loop(ivp._CALL, "", "fast")
+    assert ivp._loop.cache_info()[:2] == (1, 1)  # one hit, one miss: the unchecked loop only
+
+
 def _outcome(rhs, coef, z_start, start, n_steps, record_profile=False):
     try:
         return integrate_inward(rhs, coef, z_start, start, n_steps, record_profile).endpoint
@@ -246,7 +255,20 @@ def _outcome(rhs, coef, z_start, start, n_steps, record_profile=False):
 
 
 def _called(rhs):
-    return lambda *args: rhs(*args)  # no inline body: unrecorded, the checked loop calls rhs
+    return lambda *args: rhs(*args)  # no inline body: the loop calls rhs
+
+
+def _every_run_fails_as_the_checked_loop(rhs, coef, z_start, start, n_steps):
+    """Assert that inline and called runs, recorded or not, fail with the abscissa and message
+    of the oracle, the loop that calls rhs and tests each step; return those two."""
+    loop = ivp._loop(ivp._CALL, "", "checked")
+    with pytest.raises(SingularRhs) as raised:
+        loop(rhs, coef, z_start, *start, ivp._abscissae(z_start, n_steps), None)
+    expected = raised.value.abscissa, str(raised.value)
+    for run_rhs in (rhs, _called(rhs)):
+        for record_profile in (False, True):
+            assert _outcome(run_rhs, coef, z_start, start, n_steps, record_profile) == expected
+    return expected
 
 
 @pytest.mark.parametrize("then_raise", [False, True])
@@ -260,11 +282,8 @@ def test_inline_run_turning_non_finite_fails_as_the_called_run(value, then_raise
         body = "if {z} < coef / 2:\n    raise SingularRhs({z}, 'raised')\n" + body
     rhs = _inline_rhs(body)
     start = State2(1.0, -1.0)
-    called = _outcome(_called(rhs), 0.37, 1.0, start, 100)
-    assert isinstance(called, tuple)  # failed
-    for record_profile in (False, True):
-        assert _outcome(rhs, 0.37, 1.0, start, 100, record_profile) == called
-    assert 0.0 < called[0] < 0.37  # the step it happened at, not the end
+    abscissa, _ = _every_run_fails_as_the_checked_loop(rhs, 0.37, 1.0, start, 100)
+    assert 0.0 < abscissa < 0.37  # the step it happened at, not the end
 
 
 def test_inline_run_whose_slope_alone_turns_non_finite_fails_as_the_called_run():
@@ -272,9 +291,7 @@ def test_inline_run_whose_slope_alone_turns_non_finite_fails_as_the_called_run()
     # so the unchecked loop ends on a finite w and an infinite w'
     rhs = _inline_rhs("{a} = (math.inf if abs({z}) < 1e-9 else 1.0)")
     start = State2(1.0, -1.0)
-    called = _outcome(_called(rhs), None, 1.0, start, 100)
-    assert called[0] == 0.0
-    assert _outcome(rhs, None, 1.0, start, 100) == called
+    assert _every_run_fails_as_the_checked_loop(rhs, None, 1.0, start, 100)[0] == 0.0
 
 
 @pytest.mark.parametrize("H, L, h_star", [(0.1, -2.0, 0.5), (2.0, 0.0, 0.01), (1.0, 1.0, 0.1)])
@@ -284,10 +301,7 @@ def test_inline_run_that_raises_fails_as_the_called_run(H, L, h_star):
     problem, _ = make_spreading(SpreadingParams(H=H, L=L))
     start = State2(*problem.extended_boundary(h_star, 0.5))
     rhs, coef = problem.extended_rhs, problem.coefficients(h_star)
-    called = _outcome(_called(rhs), coef, 0.5, start, 1000)
-    assert isinstance(called, tuple)
-    for record_profile in (False, True):
-        assert _outcome(rhs, coef, 0.5, start, 1000, record_profile) == called
+    _every_run_fails_as_the_checked_loop(rhs, coef, 0.5, start, 1000)
 
 
 @pytest.mark.parametrize("z_start", [0.5, 1.0, 78.87444788003997, 1e-300, 1e300])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,10 +163,33 @@ def test_reconstruct_rejects_nonpositive_time():
     for gamma, alpha, t in [(0.0, 0.0, 2.0), (1e-3, 0.0, 10.0), (5e-324, 0.0, 10.0),
                             (-1e-3, 0.0, 10.0), (2.0, 400.0, 10.0), (1.0, -1.0, 1e-300)]:
         exps = SimilarityExponents(1.0, alpha, gamma, 1.0, OriginKind.DIRICHLET)
-        with pytest.raises(InvalidParams, match=rf"^t = {t!r} leaves the float range in "
-                                                rf"t\^\(1/gamma\) or t\^\(alpha - 1/gamma\) at "
-                                                rf"gamma = {gamma!r}, alpha = {alpha!r}$"):
+        with pytest.raises(InvalidParams, match=_float_range_message(t, gamma, alpha)):
             reconstruct_physical(_sample_profile(), exps, 1.0, t)
+
+
+def _float_range_message(t, gamma, alpha):
+    t, gamma, alpha = (re.escape(repr(v)) for v in (t, gamma, alpha))
+    return rf"^t = {t} takes x, u or du/dx out of the float range at gamma = {gamma}, " \
+           rf"alpha = {alpha}$"
+
+
+_LINEAR_U = SimilarityExponents(0.0, 1.0, 2.0, 1.0, OriginKind.DIRICHLET)  # u = t U
+
+
+# Stefan maps x by t^(1/2) and du/dx by t^(-1/2): each case scales one value of 1e300 by
+# 1e10, past the largest float: x_w, then x, u = t U, and a negative du/dx
+@pytest.mark.parametrize("exps, columns, eta_w, t", [
+    (stefan_exponents(), ((0.0, 1.0), (1.0, 0.0), (-1.0, 1e300)), 1e300, 1e20),
+    (stefan_exponents(), ((0.0, 1e300), (1.0, 0.0), (-1.0, 1.0)), 1.0, 1e20),
+    (_LINEAR_U, ((0.0, 1.0), (1e300, 0.0), (-1.0, 1.0)), 1.0, 1e10),
+    (stefan_exponents(), ((0.0, 1.0), (1.0, 0.0), (-1e300, 1.0)), 1.0, 1e-20)])
+def test_reconstruct_rejects_a_mapped_value_beyond_the_float_range(exps, columns, eta_w, t):
+    with pytest.raises(InvalidParams, match=_float_range_message(t, exps.gamma, exps.alpha)):
+        reconstruct_physical(SolutionProfile(*columns), exps, eta_w, t)
+    # a hundredth of it maps to about 1e308, inside the range
+    scaled = [tuple(v if abs(v) < 1e300 else v / 100 for v in column) for column in columns]
+    phys = reconstruct_physical(SolutionProfile(*scaled), exps, min(eta_w, 1e298), t)
+    assert all(map(math.isfinite, (*phys.x, *phys.u, *phys.du_dx, phys.x_w)))
 
 
 @given(st.floats(min_value=0.1, max_value=10.0),
