@@ -20,7 +20,6 @@ that does not converge also says why on stderr.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 import time
@@ -227,8 +226,6 @@ def cmd_profile(args: argparse.Namespace) -> Output:
     solve's last iterate, in similarity or physical variables."""
     if not 1 <= args.points <= _MAX_POINTS:  # the solve takes n >= points RK4 steps
         raise InvalidParams(f"points must lie in [1, {_MAX_POINTS}], got {args.points}")
-    if args.command == "reconstruct" and not 0.0 < args.t < math.inf:
-        raise InvalidParams(f"t must be positive and finite, got {args.t}")
     spec = PROBLEMS[args.problem]
     for other in PROBLEMS.values():
         for flag in other.params:

@@ -27,8 +27,6 @@ State2 = namedtuple("State2", "w dw")  # field value and first derivative of w''
 class SolutionProfile:
     """Sampled (eta, U, dU/deta) columns along a solution; its length is the row count."""
 
-    __slots__ = ("eta", "u", "du")
-
     def __init__(self, eta: tuple[float, ...], u: tuple[float, ...], du: tuple[float, ...]):
         self.eta, self.u, self.du = eta, u, du
 

@@ -9,6 +9,7 @@ H > 0, L < 0, and stored asymptotic front positions. erf is CPython's
 from __future__ import annotations
 
 import math
+import sys
 from math import erf
 
 from .errors import InvalidParams
@@ -37,9 +38,11 @@ ASYMPTOTIC_ETA_W: dict[float, float] = {
 def _front_equation(S: float, eta_w: float) -> float:
     # log(sqrt(pi) S eta_w exp(eta_w^2/4) erf(eta_w/2) / 2): it has the sign of
     # the equation's lhs minus 2, and exp(eta_w^2/4) cannot overflow; S is
-    # multiplied by sqrt(pi)/2 < 1, so no finite S overflows the product
-    return (math.log(S * (math.sqrt(math.pi) / 2.0) * eta_w * erf(eta_w / 2.0))
-            + eta_w * eta_w / 4.0)
+    # multiplied by sqrt(pi)/2 < 1, so no finite S overflows the product. A subnormal
+    # S is scaled by 2^k first, exactly, so the product keeps every bit (k = 0 if normal)
+    k = 64 if S < sys.float_info.min else 0
+    return (math.log(math.ldexp(S, k) * (math.sqrt(math.pi) / 2.0) * eta_w * erf(eta_w / 2.0))
+            - k * math.log(2.0) + eta_w * eta_w / 4.0)
 
 
 def neumann_eta_w(S: float) -> float:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,22 @@ def test_invalid_params_exit_code(capsys):
 def test_no_convergence_exit_code(capsys):
     code, _, _ = run(capsys, ["stefan", "--max-iter", "2"])
     assert code == 2
+
+
+def test_entry_point_exits_with_the_code_of_main():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-m", "itmfree.cli", "stefan", "--max-iter", "2"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+
+
+def test_wall_time_lies_within_the_run(capsys):
+    begin = time.perf_counter()
+    code, out, _ = run(capsys, ["stefan", "--format", "json"])
+    elapsed = time.perf_counter() - begin
+    assert code == 0
+    assert 0.0 <= json.loads(out)["wall_time_s"] <= elapsed
 
 
 def test_singular_exit_code(capsys):
@@ -278,6 +295,19 @@ def test_points_below_one_rejected_before_solving(monkeypatch, capsys, argv):
         assert err == f"error: points must lie in [1, 100000], got {points}\n"
 
 
+@pytest.mark.parametrize("argv", [["profile"], ["reconstruct", "--t", "1"]])
+def test_points_at_the_bound_reach_the_solve(monkeypatch, argv):
+    class Solved(Exception):
+        pass
+
+    def solve(problem, scaling, config):
+        raise Solved(round(config.s_star / config.step))
+
+    monkeypatch.setattr(cli, "secant_solve", solve)
+    with pytest.raises(Solved, match="^100000$"):
+        main(argv + ["--points", "100000"])
+
+
 # (subcommand, --problem, a parameter of another problem)
 _FOREIGN = [(argv, problem, flag)
             for argv in ("profile", "reconstruct --t 4")
@@ -372,6 +402,18 @@ def test_check_invariance_violation(capsys):
     report = json.loads(out)
     assert report["pde_residual"] != 0.0
     assert report["invariant"] is False
+
+
+@pytest.mark.parametrize("beta, invariant", [("-1e-12", False), ("-1.5e-12", False),
+                                              ("-5e-13", True)])
+def test_check_invariance_threshold(capsys, beta, invariant):
+    # n = alpha = 1 gives gamma = 1 and an origin residual of exactly -beta
+    code, out, _ = run(capsys, ["check-invariance", "--n", "1", "--alpha", "1",
+                                "--origin", "neumann", f"--beta={beta}", "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["origin_residual"] == -float(beta)
+    assert report["invariant"] is invariant
 
 
 def test_out_flag_and_determinism(tmp_path, capsys):

@@ -80,11 +80,14 @@ def test_neumann_eta_w_values(S, expected):
     assert abs(_front_residual(S, root)) <= 1e-12
 
 
-@pytest.mark.parametrize("S", [1e-300, 1e20, 1e300, 1.5e308, 1.7976931348623157e308])
+@pytest.mark.parametrize("S", [1e-300, 1e20, 1e300, 1.5e308, 1.7976931348623157e308,
+                               5e-324, 1e-323, 1e-320, 1e-316])
 def test_neumann_eta_w_extreme_s(S):
     # the root lies far outside [1e-12, 4] (about 52.4 for S = 1e-300 and
     # sqrt(2/S) for large S), where exp(eta_w^2/4) overflows, sqrt(pi) S
-    # overflows (S > 1e308) or the bracket must grow downward; judged by the log-form residual in 40-digit arithmetic
+    # overflows (S > 1e308) or the bracket must grow downward; a subnormal S times
+    # sqrt(pi)/2 keeps only a few bits unless it is scaled first; judged by the
+    # log-form residual in 40-digit arithmetic
     root = neumann_eta_w(S)
     assert math.isfinite(root) and root > 0.0
     with mpmath.workdps(40):
