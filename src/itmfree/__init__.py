@@ -7,7 +7,8 @@ one-parameter extension, and finds the free boundary with one inward RK4
 integration per secant iteration on the transformation function.
 """
 
-# each module's __all__ is its public interface; the package republishes them
+# each module's __all__ is its public interface; the package republishes them, and only them
+from . import errors, itm, ivp, problems, reference, similarity
 from .errors import *
 from .itm import *
 from .ivp import *
@@ -17,4 +18,5 @@ from .similarity import *
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for module in (errors, itm, ivp, problems, reference, similarity)
+           for name in module.__all__]

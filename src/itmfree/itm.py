@@ -60,7 +60,7 @@ def _identity_output(eta: float, w: float, dw: float) -> tuple[float, float]:
 
 
 def _power(base: float, exponent: float) -> float:
-    """base ** exponent for base > 0, with an overflow giving inf as in IEEE arithmetic."""
+    """base ** exponent, with an overflow giving inf, as in IEEE arithmetic for base > 0."""
     try:
         return base ** exponent
     except OverflowError:
@@ -108,7 +108,7 @@ class ExtendedScaling(CheckedRecord, namedtuple("ExtendedScaling", "delta sigma 
 class ItmConfig(CheckedRecord,
                 namedtuple("ItmConfig", "s_star step h0 h1 tol max_iter", defaults=(1e-6, 50))):
     """Starred boundary s*, RK4 step (at most 10^7 steps s*/step), secant guesses
-    h0 != h1 > 0, tolerance and iteration bound; an inadmissible value raises
+    h0 != h1 > 0, tolerance and iteration bound (an int >= 1); an inadmissible value raises
     InvalidParams. The defaults of tol and max_iter are ``ItmConfig._field_defaults``."""
 
     __slots__ = ()
@@ -129,8 +129,8 @@ class ItmConfig(CheckedRecord,
         if not (0.0 < h0 < math.inf and 0.0 < h1 < math.inf and h0 != h1):
             raise InvalidParams(f"the guesses {(h0, h1)!r} at s_star = {s_star!r} are not two "
                                 "distinct positive finite floats")
-        if max_iter < 1:  # the solve evaluates iterate 1 before it tests the bound
-            raise InvalidParams(f"max_iter must be at least 1, got {max_iter}")
+        if not (type(max_iter) is int and max_iter >= 1):  # 2.5, True, nan: not a count
+            raise InvalidParams(f"max_iter must be at least 1, got {max_iter!r}")
         return self
 
 
@@ -204,11 +204,13 @@ def evaluate_gamma(problem: ReducedFreeBvp, scaling: ExtendedScaling,
                    ) -> tuple[float, float, State2]:
     """One inward integration of the extended problem; returns (Gamma, omega, endpoint).
 
-    omega = g(w*(0), w*'(0))^(1/k). Raises SingularRhs if the integration
-    starts from a non-finite state or hits a singularity, and
-    OmegaNonPositive if g is not positive or omega is not a positive finite
-    float. Gamma is +inf when 1 + Gamma exceeds the float range.
+    omega = g(w*(0), w*'(0))^(1/k). Raises InvalidParams unless h* is positive and
+    finite, SingularRhs if the integration starts from a non-finite state or hits a
+    singularity, and OmegaNonPositive if g is not positive or omega is not a positive
+    finite float. Gamma is +inf when 1 + Gamma exceeds the float range.
     """
+    if not 0.0 < h_star < math.inf:  # the problems' coefficients take sqrt(h*)
+        raise InvalidParams(f"h* must be positive and finite, got {h_star!r}")
     s_star = config.s_star
     y_start = State2(*problem.extended_boundary(h_star, s_star))
     # ItmConfig keeps 0 < step <= s* and this count <= _MAX_STEPS, so it is at least 1

@@ -49,22 +49,22 @@ def _abscissae(z_start: float, n_steps: int) -> array:
 # The one RK4 loop. The prelude runs once per integration. Stage k fills its body's slots
 # from _STAGES[k - 1] and sets a{k}, w'' at those arguments. The grid stays exact: a step
 # ends on its entry of _abscissae. Each weight 2 * k is written k + k: the same double, but
-# a float add, which CPython specialises, where it does not specialise int * float. ** raises
-# OverflowError on overflow; a divisor can be 0.0. Three tails: "checked" tests every step's
-# state; "fast" tests nothing, and "record" only appends the state. The caller tests the end
-# of an unchecked run, and an unchecked run that raises keeps its raise if the state is
-# finite, else returns it. Either way a non-finite state goes to the checked variant, which
-# raises at the step it happened. That is exact: w and dw each enter their own update with
-# weight 1, so once either is inf or nan it stays non-finite, and a finite state means that
-# every earlier step was finite. They are assigned only at a step's end, so at a raise they
-# hold the failing step's start; if finite, the checked run reaches the same raise.
+# a float add, which CPython specialises, where it does not specialise int * float. Tails:
+# "checked" tests each step's state, "fast" nothing, "record" appends it. Only the stages
+# raise (** on overflow, / by 0.0), and one rule serves every tail: a non-finite state is
+# handed back, OverflowError and ZeroDivisionError become SingularRhs at the step's end, and
+# all else propagates. The caller re-runs a non-finite end checked, to raise at the step it
+# happened. That is exact: w and dw enter their own updates with weight 1, so once inf or
+# nan they stay so, and a finite state means every earlier step was finite (a checked run
+# never hands back). They are assigned at a step's end, so at a raise they hold its start;
+# if finite, the checked run reaches the same raise.
 _LOOP = """\
 def loop(rhs, coef, z_start, w, dw, grid, rows):
     z, h = z_start, -z_start / len(grid)
     h2, h6, isfinite = h / 2, h / 6, math.isfinite
     {prelude}
-    try:
-        for z_next in grid:
+    for z_next in grid:
+        try:
             z_mid = z + h2
             {}
             dw2 = dw + h2 * a1
@@ -73,20 +73,20 @@ def loop(rhs, coef, z_start, w, dw, grid, rows):
             {}
             dw4 = dw + h * a3
             {}
-            w += h6 * (dw + (dw2 + dw2) + (dw3 + dw3) + dw4)
-            dw += h6 * (a1 + (a2 + a2) + (a3 + a3) + a4)
-            z = z_next
-            {tail}
-    except Exception as exc:
-        {handler}
-        if not isinstance(exc, (OverflowError, ZeroDivisionError)):
-            raise
-        raise SingularRhs(z_next) from None
+        except Exception as exc:
+            if not (isfinite(w) and isfinite(dw)):
+                return w, dw
+            if not isinstance(exc, (OverflowError, ZeroDivisionError)):
+                raise
+            raise SingularRhs(z_next) from None
+        w += h6 * (dw + (dw2 + dw2) + (dw3 + dw3) + dw4)
+        dw += h6 * (a1 + (a2 + a2) + (a3 + a3) + a4)
+        z = z_next
+        {tail}
     return w, dw
 """
 _TAILS = {"checked": "if not (isfinite(w) and isfinite(dw)): raise SingularRhs(z)",
           "fast": "", "record": "rows.append((z, w, dw))"}
-_HAND_BACK = "if not (isfinite(w) and isfinite(dw)): return w, dw"  # to the checked loop
 _STAGES = ({"z": "z", "w": "w", "dw": "dw"},
            {"z": "z_mid", "w": "(w + h2 * dw)", "dw": "dw2"},
            {"z": "z_mid", "w": "(w + h2 * dw2)", "dw": "dw3"},
@@ -102,8 +102,7 @@ def _indent(text: str, spaces: int) -> str:
 def _loop(body: str, prelude: str, tail: str) -> Callable:
     """The RK4 loop of a prelude, a stage body and one of _TAILS; built on first use."""
     stages = (_indent(body.format(a=f"a{k}", **names), 12) for k, names in enumerate(_STAGES, 1))
-    exec(_LOOP.format(*stages, prelude=_indent(prelude, 4), tail=_TAILS[tail],
-                      handler=_HAND_BACK if tail != "checked" else ""),
+    exec(_LOOP.format(*stages, prelude=_indent(prelude, 4), tail=_TAILS[tail]),
          namespace := {"math": math, "SingularRhs": SingularRhs})
     return namespace["loop"]
 

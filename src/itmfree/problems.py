@@ -9,7 +9,7 @@ import math
 from collections import namedtuple
 
 from .errors import CheckedRecord, InvalidParams
-from .itm import ExtendedScaling, ReducedFreeBvp
+from .itm import ExtendedScaling, ReducedFreeBvp, _power
 from .ivp import _inline_rhs
 from .similarity import OriginKind, SimilarityExponents
 
@@ -64,11 +64,7 @@ class SpreadingParams(CheckedRecord, namedtuple("SpreadingParams", "H L")):
     __slots__ = ()
 
     def __new__(cls, H: float, L: float) -> SpreadingParams:
-        try:
-            cube = H ** 3  # the front slope divides by it
-        except OverflowError:
-            cube = math.inf
-        if not 0.0 < abs(cube) < math.inf:
+        if not 0.0 < abs(_power(H, 3.0)) < math.inf:  # the front slope divides by H^3
             raise InvalidParams(f"H^3 must be a finite nonzero float, got H = {H}")
         if not math.isfinite(L):
             raise InvalidParams(f"L must be finite, got {L}")

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import re
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from itmfree import itm
-from itmfree.errors import InvalidParams
+from itmfree.errors import InvalidParams, SingularRhs
 from itmfree.itm import (
     ExtendedScaling,
     ItmConfig,
@@ -107,6 +108,22 @@ def test_gamma_beyond_float_range():
     result = secant_solve(problem, scaling, config)
     assert result.converged
     assert result.s == pytest.approx(1.2401252666271911, abs=1e-9)
+
+
+@pytest.mark.parametrize("make, params", [(make_stefan, StefanParams(S=1.0)),
+                                          (make_spreading, SpreadingParams(H=0.5, L=-0.5))])
+@pytest.mark.parametrize("h_star", [-1.0, -0.0, 0.0, math.nan, math.inf, -math.inf])
+def test_evaluate_gamma_rejects_h_star_outside_the_positive_floats(make, params, h_star):
+    # below 0 sqrt(h*) raised a bare ValueError; at 0, nan or inf the integration raised
+    # SingularRhs or OmegaNonPositive, as the problem had it
+    problem, scaling = make(params)
+    config = run_config(problem, scaling)
+    with pytest.raises(InvalidParams,
+                       match=re.escape(f"h* must be positive and finite, got {h_star!r}")):
+        evaluate_gamma(problem, scaling, h_star, config)
+    # the smallest positive float is an h*: it reaches the integration, which fails for spreading
+    with contextlib.suppress(SingularRhs):
+        evaluate_gamma(problem, scaling, 5e-324, config)
 
 
 def test_recover_values_identity():
@@ -645,9 +662,17 @@ def test_config_validation():
         dict(s_star=78.87444788003997, step=78.87444788003997 / (10 ** 7 + 1)),  # one past 10^7
         dict(max_iter=0),  # iterate 1 is evaluated before the bound is tested
         dict(max_iter=-3),
+        dict(max_iter=math.nan),  # nan and inf dropped the bound: nothing stopped the solve
+        dict(max_iter=math.inf),
+        dict(max_iter=2.5),  # ran 3 iterations
+        dict(max_iter=True),  # ran 1
     ):
         with pytest.raises(InvalidParams):
             ItmConfig(**{**dict(s_star=0.5, step=1e-3, h0=1.0, h1=2.0), **kwargs})
+    # run_config passes max_iter through to ItmConfig, which names it
+    problem, scaling = make_stefan(StefanParams(S=1.0))
+    with pytest.raises(InvalidParams, match="^max_iter must be at least 1, got nan$"):
+        run_config(problem, scaling, max_iter=math.nan)
 
 
 def test_trace_indices_and_s_positive(stefan_s1):

@@ -304,6 +304,29 @@ def test_inline_run_that_raises_fails_as_the_called_run(H, L, h_star):
     _every_run_fails_as_the_checked_loop(rhs, coef, 0.5, start, 1000)
 
 
+@pytest.mark.parametrize("error", ["OverflowError", "ZeroDivisionError", "ValueError"])
+def test_a_raise_from_a_finite_state_fails_alike_in_every_run(error):
+    # the body raises at the midpoint 0.505 of the step 0.51 -> 0.50, its state finite: an
+    # arithmetic failure is SingularRhs where that step ends, anything else propagates as is;
+    # the same in the checked loop and in every run, inline or called, recorded or not
+    rhs = _inline_rhs("if abs({z} - 0.505) < 1e-9:\n    raise " + error + "('stage')\n{a} = 0.0")
+    start, grid = State2(0.0, 1.0), ivp._abscissae(1.0, 100)
+    runs = [lambda: ivp._loop(ivp._CALL, "", "checked")(rhs, None, 1.0, *start, grid, None)]
+    runs += [lambda run_rhs=run_rhs, record=record:
+             integrate_inward(run_rhs, None, 1.0, start, 100, record_profile=record)
+             for run_rhs in (rhs, _called(rhs)) for record in (False, True)]
+    for run in runs:
+        if error == "ValueError":
+            with pytest.raises(ValueError) as raised:
+                run()
+            assert type(raised.value) is ValueError and str(raised.value) == "stage"
+        else:
+            with pytest.raises(SingularRhs) as raised:
+                run()
+            assert raised.value.abscissa == grid[49] == 0.5
+            assert raised.value.__suppress_context__
+
+
 @pytest.mark.parametrize("z_start", [0.5, 1.0, 78.87444788003997, 1e-300, 1e300])
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 49, 500, 1000, 2000])
 def test_step_ends_are_the_indexed_abscissae_bit_for_bit(z_start, n_steps):
