@@ -17,7 +17,6 @@ def test_every_module_name_is_exported(module):
     # no submodule object and nothing twice: ``from itmfree import *`` binds these names only
     union = {name for m in MODULES for name in importlib.import_module(f"itmfree.{m}").__all__}
     assert sorted(itmfree.__all__) == sorted(union)
-    assert set(mod.__all__) <= union
     for name in mod.__all__:
         assert getattr(itmfree, name) is getattr(mod, name)
 
